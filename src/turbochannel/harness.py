@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -18,8 +19,8 @@ from .link import (FRAME_BITS, PAYLOAD_BYTES, LinkConfig, TransferFailed,
 from .modem import (ModemConfig, StreamAssembler, classify_array,
                     default_threshold, modulate)
 from .phy import SimulatedChannel
-from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
-                    TurboPolicy, apply_policy, builtin_policy,
+from .turbo import (US_PER_MS, ActivityTrace, DomainError, FrequencyTrace,
+                    NoiseProfile, TurboPolicy, apply_policy, builtin_policy,
                     builtin_policy_names, generate_noise, turbo_frequency)
 
 COUNTERMEASURES = ("none", "turbo-off", "cstate-restricted", "artificial-noise")
@@ -123,6 +124,9 @@ class Scenario:
             raise ConfigError(
                 f"core budget exceeded: tx={tx} + receiver + {noise_cores} "
                 f"background cores > {self.policy.core_count}")
+        lo, hi = self.preempt_duration_bounds()
+        if not 0 <= lo <= hi:
+            raise ConfigError(f"preemption bounds must satisfy 0 <= {lo} <= {hi}")
 
     def planned_tx_cores(self) -> int:
         if self.tx_cores is not None:
@@ -165,7 +169,6 @@ class RunResult:
     success: bool
     wall_time_us: int
     packets_sent: int
-    freq_changes: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -270,7 +273,6 @@ def run_one(s: Scenario, bit_time_us: int, seed: int) -> RunResult:
     except TransferFailed as tf:
         stats = tf.stats
         success = False
-    hist = scenario_noise_histogram(s, seed)
     return RunResult(
         bit_time_us=bit_time_us,
         seed=seed,
@@ -279,7 +281,6 @@ def run_one(s: Scenario, bit_time_us: int, seed: int) -> RunResult:
         success=success,
         wall_time_us=stats.wall_time_us,
         packets_sent=stats.packets_sent,
-        freq_changes=hist,
     )
 
 
@@ -487,43 +488,18 @@ def parse_scenario_config(text: str, name_hint: str = "scenario") -> Scenario:
         key, val = line.split("=", 1)
         kv[key.strip()] = val.strip()
 
-    policy = _parse_policy(kv)
-    bit_times = _parse_bit_times(kv)
-    seeds = _parse_seeds(kv.get("seeds", "1..10"))
-
-    def geti(key, default):
-        return int(kv[key]) if key in kv else default
-
-    def getf(key, default):
-        return float(kv[key]) if key in kv else default
-
-    tx_cores = None
-    if kv.get("tx_cores", "auto") != "auto":
-        tx_cores = int(kv["tx_cores"])
-    ack_cores = None
-    if kv.get("ack_cores", "auto") != "auto":
-        ack_cores = int(kv["ack_cores"])
-
+    bit_times = _field(kv, "bit_times_ms", _ms_list) \
+        or (_field(kv, "bit_time_ms", _ms_to_us, 7_000),)
+    # keys left out keep the Scenario's own defaults
+    overrides = {key: _field(kv, key, convert)
+                 for key, convert in _SCENARIO_KEYS.items() if key in kv}
     return Scenario(
         name=kv.get("name", name_hint),
-        policy=policy,
+        policy=_parse_policy(kv),
         bit_times_us=bit_times,
-        payload_bytes=geti("payload_bytes", 80),
-        seeds=seeds,
-        constant_cores=geti("constant_cores", 0),
-        tx_cores=tx_cores,
-        ack_cores=ack_cores,
-        countermeasure=kv.get("countermeasure", "none"),
-        countermeasure_cores=geti("countermeasure_cores", 2),
-        record_packets=geti("record_packets", 0),
+        seeds=_field(kv, "seeds", _seed_list, tuple(range(1, 11))),
         idle_noise=kv.get("idle_noise", "on").lower() in ("on", "true", "1", "yes"),
-        oversampling=geti("oversampling", 8),
-        glitch_max=geti("glitch_max", None),
-        max_retries=geti("max_retries", 10),
-        jitter_sigma=getf("jitter_sigma", 0.005),
-        preempt_tx_rate=getf("preempt_tx_rate", None),
-        preempt_rx_rate=getf("preempt_rx_rate", None),
-        preempt_per_load_core=getf("preempt_per_load_core", 0.20),
+        **overrides,
     )
 
 
@@ -532,38 +508,72 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario_config(p.read_text(), name_hint=p.stem)
 
 
+def _field(kv: Mapping[str, str], key: str, convert, default=None):
+    """``kv[key]`` through ``convert``, or ``default`` when the key is absent.
+    A value that does not convert is a ConfigError naming the key."""
+    if key not in kv:
+        return default
+    try:
+        return convert(kv[key])
+    except (ValueError, ArithmeticError):
+        raise ConfigError(f"bad value for {key}: {kv[key]!r}") from None
+
+
+def _auto_int(text: str) -> int | None:
+    return None if text == "auto" else int(text)
+
+
+def _ms_to_us(text: str) -> int:
+    # exact decimal arithmetic: 1.005 ms is 1005 us, not float's 1004.99...
+    return round(Decimal(text) * US_PER_MS)
+
+
+def _ms_list(text: str) -> tuple[int, ...]:
+    return tuple(_ms_to_us(v) for v in text.split(","))
+
+
+def _ghz_to_hz(text: str) -> int:
+    return round(Decimal(text) * 1_000_000_000)
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    if ".." in text:
+        lo, hi = text.split("..")
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(v) for v in text.split(","))
+
+
+def _levels(text: str) -> tuple[tuple[int, int], ...]:
+    levels = []
+    for part in text.split(","):
+        bound, ghz = part.split(":")
+        levels.append((int(bound), _ghz_to_hz(ghz)))
+    return tuple(levels)
+
+
+_SCENARIO_KEYS = {
+    "payload_bytes": int, "constant_cores": int,
+    "tx_cores": _auto_int, "ack_cores": _auto_int,
+    "countermeasure": str, "countermeasure_cores": int,
+    "record_packets": int, "oversampling": int, "glitch_max": int,
+    "max_retries": int, "jitter_sigma": float,
+    "preempt_tx_rate": float, "preempt_rx_rate": float,
+    "preempt_per_load_core": float,
+    "preempt_min_us": int, "preempt_max_us": int,
+}
+
+
 def _parse_policy(kv: Mapping[str, str]) -> TurboPolicy:
-    if "policy.levels" in kv:
-        levels = []
-        for part in kv["policy.levels"].split(","):
-            bound, ghz = part.strip().split(":")
-            levels.append((int(bound), int(float(ghz) * 1e9)))
+    levels = _field(kv, "policy.levels", _levels)
+    if levels is not None:
         return TurboPolicy(
-            core_count=int(kv.get("policy.core_count", levels[-1][0])),
-            levels=tuple(levels),
-            base_frequency_hz=int(float(kv.get("policy.base_ghz", "1.0")) * 1e9),
-            pcu_period_us=int(kv.get("policy.pcu_period_us", "1000")),
-            recovery_delay_us=int(kv.get("policy.recovery_delay_us", "0")),
+            core_count=_field(kv, "policy.core_count", int, levels[-1][0]),
+            levels=levels,
+            base_frequency_hz=_field(kv, "policy.base_ghz", _ghz_to_hz, 1_000_000_000),
+            pcu_period_us=_field(kv, "policy.pcu_period_us", int, 1_000),
+            recovery_delay_us=_field(kv, "policy.recovery_delay_us", int, 0),
         )
     name = kv.get("policy", "xeon-silver-4108")
     if name not in builtin_policy_names():
         raise ConfigError(f"unknown policy {name!r}")
     return builtin_policy(name)
-
-
-def _parse_bit_times(kv: Mapping[str, str]) -> tuple[int, ...]:
-    if "bit_times_ms" in kv:
-        vals = [float(v) for v in kv["bit_times_ms"].split(",")]
-    elif "bit_time_ms" in kv:
-        vals = [float(kv["bit_time_ms"])]
-    else:
-        vals = [7.0]
-    return tuple(int(v * 1000) for v in vals)
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(","))

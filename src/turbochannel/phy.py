@@ -10,14 +10,18 @@ the counting-loop sampler. A hardware backend would implement the same
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
-                    TurboPolicy, _coalesce, generate_noise, turbo_frequency)
+                    TurboPolicy, _coalesce, _poisson_events, noise_stream,
+                    turbo_frequency)
+from .turbo import generate_noise  # noqa: F401  (perfbench wraps phy.generate_noise)
 
 MIN_WINDOW_US = 100
 
@@ -104,8 +108,10 @@ class SimulatedChannel:
     """One shared-frequency simulation instance.
 
     Core layout: transmit cores first, then the receiver's core, the rest is
-    the pool for background noise. Must be driven from a single thread;
-    distinct instances are independent.
+    the pool for background noise. Background noise is expanded on demand:
+    only as far as the furthest time a frequency query has reached (plus
+    geometric headroom), never over the whole horizon up front. Must be
+    driven from a single thread; distinct instances are independent.
     """
 
     def __init__(self, policy: TurboPolicy, horizon_us: int, *,
@@ -148,16 +154,16 @@ class SimulatedChannel:
         self.ack_cores = (rx_core,) + tx_cores[1:ack_core_count]
         self.noise_pool = tuple(range(rx_core + 1, policy.core_count))
 
-        # static background activity
-        traces = [generate_noise(p, horizon_us, policy.core_count, self.noise_pool)
-                  for p in noise]
+        # static background activity: preemptions now, noise as it is read
         self._static: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
                                           for _ in range(policy.core_count)]
-        for t in traces:
-            for c in range(policy.core_count):
-                iv = t._per_core[c]
-                if len(iv):
-                    self._static[c] = _union(self._static[c], iv)
+        # creating the streams checks the profiles; a pinned channel never
+        # reads past the first interval
+        streams = [noise_stream(p, horizon_us, policy.core_count, self.noise_pool)
+                   for p in noise]
+        self._noise = heapq.merge(*streams, key=itemgetter(1))
+        self._noise_next = next(self._noise, None)
+        self._frontier = 0  # every noise interval starting before it is in _static
 
         # preemption streams: suspensions of the covert processes; the core
         # keeps running (another task owns it), so they also count as activity
@@ -188,17 +194,28 @@ class SimulatedChannel:
     # -- timeline -----------------------------------------------------------
 
     def _draw_preempts(self, role: str, rate: float, lo: int, hi: int) -> np.ndarray:
-        out = []
-        if rate > 0:
-            rng = random.Random(f"preempt:{role}:{self.seed}")
-            t = 0.0
-            while True:
-                t += rng.expovariate(rate) * 1_000_000
-                if t >= self.horizon_us:
-                    break
-                start = int(t)
-                out.append((start, min(start + rng.randint(lo, hi), self.horizon_us)))
+        rng = random.Random(f"preempt:{role}:{self.seed}")
+        out = [(t, min(t + rng.randint(lo, hi), self.horizon_us))
+               for t in _poisson_events(rng, rate, self.horizon_us)]
         return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+
+    def _expand_noise(self, end_us: int):
+        """Union into ``_static`` every noise interval starting before a new
+        frontier >= ``end_us``. The frontier at least doubles each time, so
+        the unions cost amortised linear time in the noise read."""
+        frontier = min(self.horizon_us,
+                       max(end_us, 2 * self._frontier, self._frontier + _CHUNK_US))
+        fresh: dict[int, list[tuple[int, int]]] = {}
+        item = self._noise_next
+        while item is not None and item[1] < frontier:
+            fresh.setdefault(item[0], []).append(item[1:])
+            item = next(self._noise, None)
+        self._noise_next = item
+        self._frontier = frontier
+        for core, ivs in fresh.items():
+            self._static[core] = _union(self._static[core],
+                                        np.asarray(ivs, dtype=np.int64))
+            self._merged_cache[core] = None
 
     def preempt_intervals(self, role: str) -> np.ndarray:
         return self._preempts[role]
@@ -240,6 +257,8 @@ class SimulatedChannel:
         """
         if self.pinned_frequency_hz is not None:
             return FrequencyTrace([(start_us, self.pinned_frequency_hz)], end_us)
+        if end_us > self._frontier:
+            self._expand_noise(end_us)
         policy = self.policy
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
         t0 = max(0, start_us - lookback)

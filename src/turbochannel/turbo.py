@@ -8,9 +8,14 @@ identical inputs produce identical traces.
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -391,6 +396,10 @@ class NoiseProfile:
             raise DomainError("interrupt_rate must be >= 0")
         if self.constant_cores < 0 or self.toggle_cores < 0:
             raise DomainError("core counts must be >= 0")
+        if not 0 <= self.preempt_min_us <= self.preempt_max_us:
+            raise DomainError("need 0 <= preempt_min_us <= preempt_max_us")
+        if not 0 < self.toggle_min_us <= self.toggle_max_us:
+            raise DomainError("need 0 < toggle_min_us <= toggle_max_us")
 
     def rates(self) -> Mapping[int, float]:
         if self.event_rates is not None:
@@ -411,13 +420,16 @@ def _poisson_events(rng: random.Random, rate_per_s: float, horizon_us: int):
         yield int(t)
 
 
-def generate_noise(profile: NoiseProfile, horizon_us: int, core_count: int,
-                   cores: Sequence[int] | None = None) -> ActivityTrace:
-    """Expand a noise profile into a concrete activity trace.
+def noise_stream(profile: NoiseProfile, horizon_us: int, core_count: int,
+                 cores: Sequence[int] | None = None
+                 ) -> Iterator[tuple[int, int, int]]:
+    """Expand a noise profile lazily into (core, start, end) intervals.
 
-    ``cores`` restricts which cores the generator may touch (round-robin for
-    event kinds); default is all cores. Degenerate profiles (zero rates, zero
-    cores) yield an empty trace.
+    Intervals come in non-decreasing start order and are clipped to the
+    horizon; they may overlap on a core. ``cores`` restricts which cores the
+    generator may touch (round-robin for event kinds); default is all cores.
+    Arguments are checked here, not at the first ``next``, so a bad profile
+    fails where the stream is created.
     """
     if horizon_us <= 0:
         raise DomainError("horizon_us must be > 0")
@@ -425,51 +437,72 @@ def generate_noise(profile: NoiseProfile, horizon_us: int, core_count: int,
     for c in pool:
         if not 0 <= c < core_count:
             raise DomainError(f"core {c} outside [0, {core_count})")
-    per_core: dict[int, list[tuple[int, int]]] = {c: [] for c in pool}
-    rng = random.Random(f"noise:{profile.kind}:{profile.seed}")
+    if profile.kind == "constant-load" and profile.constant_cores > len(pool):
+        raise DomainError("not enough cores for constant load")
+    if profile.kind == "custom" and profile.toggle_cores > len(pool):
+        raise DomainError("not enough cores for toggle noise")
+    return _expand(profile, horizon_us, pool)
 
+
+def _expand(profile: NoiseProfile, horizon_us: int, pool: list[int]):
     if profile.kind == "constant-load":
-        if profile.constant_cores > len(pool):
-            raise DomainError("not enough cores for constant load")
         for c in pool[: profile.constant_cores]:
-            per_core[c].append((0, horizon_us))
-
-    elif profile.kind == "idle-background":
+            yield c, 0, horizon_us
+        return
+    if profile.kind == "custom":
+        yield from heapq.merge(*(_toggles(profile, c, horizon_us)
+                                 for c in pool[: profile.toggle_cores]),
+                               key=itemgetter(1))
+        return
+    if not pool:
+        return
+    rng = random.Random(f"noise:{profile.kind}:{profile.seed}")
+    if profile.kind == "idle-background":
         rates = {d: r for d, r in profile.rates().items() if r > 0}
-        total = sum(rates.values())
-        if total > 0 and pool:
-            durations = sorted(rates)
-            weights = [rates[d] for d in durations]
-            idx = 0
-            for t in _poisson_events(rng, total, horizon_us):
-                dur_us = rng.choices(durations, weights)[0] * US_PER_MS
-                core = pool[idx % len(pool)]
-                idx += 1
-                per_core[core].append((t, min(t + dur_us, horizon_us)))
+        keys = sorted(rates)
+        durations = [d * US_PER_MS for d in keys]
+        # rng.choices(durations, [rates[d] for d in keys]) unrolled, draw for
+        # draw: one random() scaled by the total and bisected into the
+        # cumulative weights (about 3x faster than the call)
+        cum_weights = list(accumulate(rates[d] for d in keys))
+        last = len(keys) - 1
+        idx = 0
+        for t in _poisson_events(rng, sum(rates.values()), horizon_us):
+            pick = bisect(cum_weights, rng.random() * cum_weights[-1], 0, last)
+            yield pool[idx % len(pool)], t, min(t + durations[pick], horizon_us)
+            idx += 1
+    else:  # vm-interrupts
+        idx = 0
+        for t in _poisson_events(rng, profile.interrupt_rate, horizon_us):
+            dur = rng.randint(profile.preempt_min_us, profile.preempt_max_us)
+            yield pool[idx % len(pool)], t, min(t + dur, horizon_us)
+            idx += 1
 
-    elif profile.kind == "vm-interrupts":
-        if profile.interrupt_rate > 0 and pool:
-            idx = 0
-            for t in _poisson_events(rng, profile.interrupt_rate, horizon_us):
-                dur = rng.randint(profile.preempt_min_us, profile.preempt_max_us)
-                core = pool[idx % len(pool)]
-                idx += 1
-                per_core[core].append((t, min(t + dur, horizon_us)))
 
-    elif profile.kind == "custom":
-        if profile.toggle_cores > len(pool):
-            raise DomainError("not enough cores for toggle noise")
-        for c in pool[: profile.toggle_cores]:
-            crng = random.Random(f"toggle:{profile.seed}:{c}")
-            t = crng.randint(0, profile.toggle_max_us)
-            while t < horizon_us:
-                on = crng.randint(profile.toggle_min_us, profile.toggle_max_us)
-                off = crng.randint(profile.toggle_min_us, profile.toggle_max_us)
-                per_core[c].append((t, min(t + on, horizon_us)))
-                t += on + off
+def _toggles(profile: NoiseProfile, core: int, horizon_us: int):
+    """One core alternating active/idle with uniform dwell times."""
+    rng = random.Random(f"toggle:{profile.seed}:{core}")
+    t = rng.randint(0, profile.toggle_max_us)
+    while t < horizon_us:
+        on = rng.randint(profile.toggle_min_us, profile.toggle_max_us)
+        off = rng.randint(profile.toggle_min_us, profile.toggle_max_us)
+        yield core, t, min(t + on, horizon_us)
+        t += on + off
 
+
+def generate_noise(profile: NoiseProfile, horizon_us: int, core_count: int,
+                   cores: Sequence[int] | None = None) -> ActivityTrace:
+    """Expand a noise profile over the whole horizon into an activity trace.
+
+    This drains ``noise_stream`` and coalesces each core's intervals; the
+    simulated channel reads the stream itself and expands it only as far as
+    it has been queried. Degenerate profiles (zero rates, zero cores) yield
+    an empty trace.
+    """
+    per_core: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for core, start, end in noise_stream(profile, horizon_us, core_count, cores):
+        per_core[core].append((start, end))
     raw = [np.empty((0, 2), dtype=np.int64) for _ in range(core_count)]
     for c, ivs in per_core.items():
-        if ivs:
-            raw[c] = _coalesce(np.asarray(ivs, dtype=np.int64))
+        raw[c] = _coalesce(np.asarray(ivs, dtype=np.int64))
     return ActivityTrace(core_count, horizon_us, _raw=raw)

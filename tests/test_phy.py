@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import noise_profiles
 
 from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
                               sample_frequency, transmit)
 from turbochannel.turbo import DomainError, NoiseProfile, builtin_policy
 
 XEON = builtin_policy("xeon-silver-4108")
+RYZEN = builtin_policy("ryzen-2700x-like")
 
 
 def quiet_sim(**kw):
@@ -167,3 +171,68 @@ class TestSampleSeries:
     def test_samples_view(self):
         s = SampleSeries(0, 100, np.array([5, 7]), np.array([False, True]))
         assert s.samples == [(0, 5), (100, None)]
+
+
+def _starts(horizon):
+    # plain integers cluster near zero, inside the first expansion; tenths
+    # spread the queries so later expansions happen too
+    tenths = st.integers(0, 9).map(lambda k: k * horizon // 10)
+    return st.integers(0, horizon - 1) | st.builds(
+        int.__add__, tenths, st.integers(0, horizon // 10 - 1))
+
+
+class TestLazyNoise:
+    HORIZON = 4_000_000
+
+    def channel(self, policy, profiles, resident):
+        sim = SimulatedChannel(policy, self.HORIZON, tx_core_count=2, noise=profiles,
+                               seed=11, sender_preempt_rate=3.0,
+                               receiver_preempt_rate=3.0)
+        # busy transmit cores park the package next to a level bound, so a
+        # single noise interval moves the frequency
+        for core in range(resident):
+            sim.commit_core(core, 0, self.HORIZON)
+        return sim
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=st.sampled_from([XEON, RYZEN]),
+           profiles=st.lists(noise_profiles(), min_size=1, max_size=3),
+           resident=st.integers(0, 2),
+           queries=st.lists(st.tuples(st.booleans(), _starts(HORIZON),
+                                      st.integers(1, 400_000)),
+                            min_size=1, max_size=10))
+    def test_matches_a_fully_expanded_channel(self, policy, profiles, resident, queries):
+        lazy = self.channel(policy, profiles, resident)
+        eager = self.channel(policy, profiles, resident)
+        eager.frequency_trace(self.HORIZON - 1, self.HORIZON)  # expands everything
+        for sample, start, length in queries:
+            end = min(start + length, self.HORIZON)
+            if sample:
+                a = sample_frequency(lazy.receiver, 1_000, (start, end))
+                b = sample_frequency(eager.receiver, 1_000, (start, end))
+                assert a.start_us == b.start_us
+                assert a.counts.tolist() == b.counts.tolist()
+                assert a.missing.tolist() == b.missing.tolist()
+            else:
+                assert lazy.frequency_trace(start, end) == eager.frequency_trace(start, end)
+
+    def test_query_inside_the_frontier_sees_all_of_it(self):
+        # a query ending at 0.1 s expands about a second of noise; a later
+        # query inside that second reads noise that was pulled in with it
+        profiles = [NoiseProfile("custom", seed=5, toggle_cores=2)]
+        lazy = self.channel(XEON, profiles, 1)
+        eager = self.channel(XEON, profiles, 1)
+        eager.frequency_trace(self.HORIZON - 1, self.HORIZON)
+        lazy.frequency_trace(0, 100_000)
+        later = (500_000, 900_000)
+        assert lazy.frequency_trace(*later) == eager.frequency_trace(*later)
+        assert len(eager.frequency_trace(*later).segments) > 1
+
+    @pytest.mark.parametrize("pinned", [None, XEON.base_frequency_hz])
+    @pytest.mark.parametrize("profile", [NoiseProfile("constant-load", constant_cores=6),
+                                         NoiseProfile("custom", toggle_cores=6)])
+    def test_too_many_noise_cores_fail_at_construction(self, profile, pinned):
+        # the pool is cores 3..7 once the transmitter and receiver are placed
+        with pytest.raises(DomainError):
+            SimulatedChannel(XEON, 1_000_000, tx_core_count=2, noise=[profile],
+                             pinned_frequency_hz=pinned)

@@ -1,12 +1,16 @@
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import noise_profiles
 
 from turbochannel.turbo import (ActivityTrace, DomainError, NoiseProfile,
-                                TurboPolicy, apply_policy, builtin_policy,
-                                generate_noise, merge, turbo_frequency)
+                                TurboPolicy, _coalesce, _poisson_events,
+                                apply_policy, builtin_policy, generate_noise,
+                                merge, noise_stream, turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
 
@@ -223,3 +227,56 @@ class TestGenerateNoise:
         trace = generate_noise(profile, 1_000_000, 8, cores=[6, 7])
         for core in range(6):
             assert trace.intervals(core) == []
+
+
+class TestNoiseStream:
+    @settings(max_examples=80, deadline=None)
+    @given(noise_profiles(max_cores=5), st.integers(1, 3_000_000),
+           st.none() | st.lists(st.integers(0, 7), max_size=5, unique=True))
+    def test_drained_stream_is_generate_noise(self, profile, horizon, cores):
+        try:
+            expected = generate_noise(profile, horizon, 8, cores)
+        except DomainError:
+            with pytest.raises(DomainError):
+                noise_stream(profile, horizon, 8, cores)
+            return
+        items = list(noise_stream(profile, horizon, 8, cores))
+        starts = [s for _, s, _ in items]
+        assert starts == sorted(starts)
+        allowed = set(range(8) if cores is None else cores)
+        assert all(c in allowed and 0 <= s < e <= horizon for c, s, e in items)
+        for core in range(8):
+            ivs = np.asarray([iv[1:] for iv in items if iv[0] == core],
+                             dtype=np.int64).reshape(-1, 2)
+            assert _coalesce(ivs).tolist() == expected._per_core[core].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.dictionaries(st.integers(1, 8), st.floats(0, 300), max_size=4))
+    def test_idle_draws_match_random_choices(self, seed, event_rates):
+        # the stream unrolls rng.choices; the plain call is the reference
+        profile = NoiseProfile("idle-background", seed=seed, event_rates=event_rates)
+        horizon, pool = 2_000_000, [3, 5, 6]
+        rates = {d: r for d, r in event_rates.items() if r > 0}
+        durations = sorted(rates)
+        rng = random.Random(f"noise:idle-background:{seed}")
+        expected = []
+        for i, t in enumerate(_poisson_events(rng, sum(rates.values()), horizon)):
+            dur = rng.choices(durations, [rates[d] for d in durations])[0] * 1_000
+            expected.append((pool[i % len(pool)], t, min(t + dur, horizon)))
+        assert list(noise_stream(profile, horizon, 8, pool)) == expected
+
+    def test_checks_run_before_the_first_interval(self):
+        too_many = [NoiseProfile("constant-load", constant_cores=3),
+                    NoiseProfile("custom", toggle_cores=3)]
+        for profile in too_many:
+            with pytest.raises(DomainError):
+                noise_stream(profile, 1_000_000, 8, cores=[6, 7])
+        with pytest.raises(DomainError):
+            noise_stream(NoiseProfile("idle-background"), 1_000_000, 8, cores=[8])
+
+    def test_inverted_duration_bounds_rejected(self):
+        with pytest.raises(DomainError):
+            NoiseProfile("vm-interrupts", preempt_min_us=5_000, preempt_max_us=4_000)
+        with pytest.raises(DomainError):
+            NoiseProfile("custom", toggle_min_us=0)
