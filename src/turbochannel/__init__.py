@@ -12,11 +12,11 @@ from .fec import (FecModel, PacketOutcome, byte_errors, estimate_goodput,
                   rs_correctable)
 from .harness import (Scenario, ScenarioReport, count_frequency_changes,
                       emit_csv, load_scenario, noise_change_histogram,
-                      run_scenario, sweep)
+                      run_scenario)
 from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, ArqReceiver, ArqSender,
                    LinkConfig, TransferFailed, TransferStats, crc16,
                    decode_ack, decode_frame, encode_ack, encode_frame,
-                   pad_payload, recv_reliable, run_transfer, send_reliable)
+                   pad_payload, run_transfer, send_reliable)
 from .modem import (SYNC_WORD, BinarySampleStream, ModemConfig, classify,
                     default_threshold, demodulate, find_sync, modulate,
                     reject_glitches)

@@ -8,10 +8,10 @@ rerunning a scenario produces byte-identical CSV.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import fec as fec_mod
 from .link import (FRAME_BITS, PAYLOAD_BYTES, LinkConfig, TransferFailed,
@@ -292,12 +292,6 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     return report
 
 
-def sweep(s: Scenario, bit_times_us: Sequence[int]) -> ScenarioReport:
-    if not bit_times_us:
-        raise ConfigError("sweep needs at least one bit time")
-    return run_scenario(replace(s, bit_times_us=tuple(bit_times_us)))
-
-
 # -- frequency-change accounting ------------------------------------------------
 
 def count_frequency_changes(trace: FrequencyTrace) -> dict[int, int]:
@@ -486,19 +480,18 @@ def parse_scenario_config(text: str, name_hint: str = "scenario") -> Scenario:
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {raw!r}")
         key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        kv[key] = val.strip()  # a repeated key: the last value wins
 
-    bit_times = _field(kv, "bit_times_ms", _ms_list) \
-        or (_field(kv, "bit_time_ms", _ms_to_us, 7_000),)
+    bit_times = _field(kv, "bit_times_ms") or (_field(kv, "bit_time_ms", 7_000),)
     # keys left out keep the Scenario's own defaults
-    overrides = {key: _field(kv, key, convert)
-                 for key, convert in _SCENARIO_KEYS.items() if key in kv}
+    overrides = {key: _field(kv, key) for key in _SCENARIO_KEYS if key in kv}
     return Scenario(
-        name=kv.get("name", name_hint),
+        name=_field(kv, "name", name_hint),
         policy=_parse_policy(kv),
         bit_times_us=bit_times,
-        seeds=_field(kv, "seeds", _seed_list, tuple(range(1, 11))),
-        idle_noise=kv.get("idle_noise", "on").lower() in ("on", "true", "1", "yes"),
         **overrides,
     )
 
@@ -508,13 +501,13 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario_config(p.read_text(), name_hint=p.stem)
 
 
-def _field(kv: Mapping[str, str], key: str, convert, default=None):
-    """``kv[key]`` through ``convert``, or ``default`` when the key is absent.
-    A value that does not convert is a ConfigError naming the key."""
+def _field(kv: Mapping[str, str], key: str, default=None):
+    """``kv[key]`` through the key's converter, or ``default`` when the key
+    is absent. A value that does not convert is a ConfigError naming it."""
     if key not in kv:
         return default
     try:
-        return convert(kv[key])
+        return _KEYS[key](kv[key])
     except (ValueError, ArithmeticError):
         raise ConfigError(f"bad value for {key}: {kv[key]!r}") from None
 
@@ -536,6 +529,15 @@ def _ghz_to_hz(text: str) -> int:
     return round(Decimal(text) * 1_000_000_000)
 
 
+def _on_off(text: str) -> bool:
+    value = text.lower()
+    if value in ("on", "true", "yes", "1"):
+        return True
+    if value in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
 def _seed_list(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..")
@@ -551,8 +553,10 @@ def _levels(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(levels)
 
 
+# config keys named after Scenario fields, with their converters
 _SCENARIO_KEYS = {
-    "payload_bytes": int, "constant_cores": int,
+    "payload_bytes": int, "seeds": _seed_list, "idle_noise": _on_off,
+    "constant_cores": int,
     "tx_cores": _auto_int, "ack_cores": _auto_int,
     "countermeasure": str, "countermeasure_cores": int,
     "record_packets": int, "oversampling": int, "glitch_max": int,
@@ -562,18 +566,27 @@ _SCENARIO_KEYS = {
     "preempt_min_us": int, "preempt_max_us": int,
 }
 
+# every key a config may set; any other key is a ConfigError
+_KEYS = {
+    **_SCENARIO_KEYS,
+    "name": str, "bit_time_ms": _ms_to_us, "bit_times_ms": _ms_list,
+    "policy": str, "policy.levels": _levels, "policy.core_count": int,
+    "policy.base_ghz": _ghz_to_hz, "policy.pcu_period_us": int,
+    "policy.recovery_delay_us": int,
+}
+
 
 def _parse_policy(kv: Mapping[str, str]) -> TurboPolicy:
-    levels = _field(kv, "policy.levels", _levels)
+    levels = _field(kv, "policy.levels")
     if levels is not None:
         return TurboPolicy(
-            core_count=_field(kv, "policy.core_count", int, levels[-1][0]),
+            core_count=_field(kv, "policy.core_count", levels[-1][0]),
             levels=levels,
-            base_frequency_hz=_field(kv, "policy.base_ghz", _ghz_to_hz, 1_000_000_000),
-            pcu_period_us=_field(kv, "policy.pcu_period_us", int, 1_000),
-            recovery_delay_us=_field(kv, "policy.recovery_delay_us", int, 0),
+            base_frequency_hz=_field(kv, "policy.base_ghz", 1_000_000_000),
+            pcu_period_us=_field(kv, "policy.pcu_period_us", 1_000),
+            recovery_delay_us=_field(kv, "policy.recovery_delay_us", 0),
         )
-    name = kv.get("policy", "xeon-silver-4108")
+    name = _field(kv, "policy", "xeon-silver-4108")
     if name not in builtin_policy_names():
         raise ConfigError(f"unknown policy {name!r}")
     return builtin_policy(name)

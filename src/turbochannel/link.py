@@ -433,9 +433,3 @@ def send_reliable(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
         raise TransferFailed("delivered payload does not match", stats, data)
     return stats
 
-
-def recv_reliable(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
-                  data_cfg: ModemConfig, ack_cfg: ModemConfig) -> bytes:
-    """Receive-side view of the same co-simulated transfer."""
-    _, data = run_transfer(sim, payload, link_cfg, data_cfg, ack_cfg)
-    return data

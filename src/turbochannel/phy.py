@@ -20,7 +20,7 @@ import numpy as np
 
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, _coalesce, _poisson_events, noise_stream,
-                    turbo_frequency)
+                    pcu_walk, step_function)
 from .turbo import generate_noise  # noqa: F401  (perfbench wraps phy.generate_noise)
 
 MIN_WINDOW_US = 100
@@ -252,8 +252,8 @@ class SimulatedChannel:
     def frequency_trace(self, start_us: int, end_us: int) -> FrequencyTrace:
         """Effective frequency over [start, end) given everything committed.
 
-        The PCU state is reconstructed from a bounded lookback, long enough
-        to cover one period plus any pending recovery ramp.
+        ``pcu_walk`` runs from a bounded lookback, long enough to cover one
+        period plus any pending recovery ramp.
         """
         if self.pinned_frequency_hz is not None:
             return FrequencyTrace([(start_us, self.pinned_frequency_hz)], end_us)
@@ -263,30 +263,16 @@ class SimulatedChannel:
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
         t0 = max(0, start_us - lookback)
 
-        deltas: list[tuple[int, int]] = []
+        spans = []
         for core in range(policy.core_count):
             iv = self._core_intervals(core)
-            if not len(iv):
-                continue
             lo = int(np.searchsorted(iv[:, 1], t0, side="right"))
             hi = int(np.searchsorted(iv[:, 0], end_us, side="left"))
-            for s, e in iv[lo:hi]:
-                deltas.append((max(int(s), t0), 1))
-                deltas.append((min(int(e), end_us), -1))
-        deltas.sort(key=lambda d: (d[0], d[1]))
-
-        times = [t0]
-        counts = [0]
-        acc = 0
-        for t, d in deltas:
-            acc += d
-            if t == times[-1]:
-                counts[-1] = acc
-            else:
-                times.append(t)
-                counts.append(acc)
-
-        segments = _pcu_run(policy, times, counts, t0, end_us)
+            spans.append(iv[lo:hi])
+        live = np.concatenate(spans)
+        times, counts = step_function(np.maximum(live[:, 0], t0),
+                                      np.minimum(live[:, 1], end_us), t0)
+        segments = pcu_walk(policy, times.tolist(), counts.tolist(), end_us)
         # clip to the requested span
         clipped: list[tuple[int, int]] = []
         for i, (s, f) in enumerate(segments):
@@ -444,72 +430,6 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(b) == 0:
         return a
     return _coalesce(np.concatenate([a, b]))
-
-
-def _pcu_run(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
-             t_start: int, t_end: int) -> list[tuple[int, int]]:
-    """Walk PCU decisions over an active-count step function.
-
-    ``times``/``counts`` describe active counts on [times[i], times[i+1]);
-    decisions happen at absolute ticks k*pcu_period. Downward changes apply
-    at the deciding tick, upward ones after the recovery delay.
-    """
-    period = policy.pcu_period_us
-    events: list[tuple[int, int]] = []
-    last_target = None
-    n = len(times)
-    for i in range(n):
-        t0 = max(int(times[i]), t_start)
-        t1 = int(times[i + 1]) if i + 1 < n else t_end
-        if t0 >= t_end:
-            break
-        if t1 <= t0:
-            continue
-        tick = -(-t0 // period) * period
-        if tick >= min(t1, t_end):
-            continue
-        target = turbo_frequency(policy, int(counts[i]))
-        if target != last_target:
-            events.append((tick, target))
-            last_target = target
-
-    segments: list[tuple[int, int]] = []
-    current = None
-    pending: tuple[int, int] | None = None
-
-    def emit(t: int, f: int):
-        nonlocal current
-        if segments and segments[-1][0] == t:
-            segments[-1] = (t, f)
-            # collapse if the rewrite made it equal to its predecessor
-            if len(segments) >= 2 and segments[-2][1] == f:
-                segments.pop()
-        elif not segments or segments[-1][1] != f:
-            segments.append((t, f))
-        current = segments[-1][1]
-
-    for tick, target in events:
-        if pending is not None and pending[1] <= tick:
-            emit(pending[1], pending[0])
-            pending = None
-        if current is None:
-            emit(tick, target)
-        elif target < current:
-            emit(tick, target)
-            pending = None
-        elif target > current:
-            if pending is None or pending[0] != target:
-                pending = (target, tick + policy.recovery_delay_us)
-        else:
-            pending = None
-    if pending is not None and pending[1] < t_end:
-        emit(pending[1], pending[0])
-
-    if not segments:
-        segments = [(t_start, turbo_frequency(policy, 0))]
-    if segments[0][0] > t_start:
-        segments.insert(0, (t_start, segments[0][1]))
-    return segments
 
 
 def _window_integrals(seg_t: np.ndarray, seg_f: np.ndarray,

@@ -184,34 +184,11 @@ class ActivityTrace:
         return sum(len(a) for a in self._per_core)
 
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Step function of the total active count.
-
-        Returns (times, counts): counts[i] cores are active on
-        [times[i], times[i+1]); times[0] == 0.
-        """
+        """Step function of the total active count (see ``step_function``);
+        times[0] == 0."""
         if self._steps_cache is None:
-            starts = np.concatenate([a[:, 0] for a in self._per_core]) \
-                if self.total_intervals() else np.empty(0, dtype=np.int64)
-            ends = np.concatenate([a[:, 1] for a in self._per_core]) \
-                if self.total_intervals() else np.empty(0, dtype=np.int64)
-            times = np.concatenate([starts, ends])
-            deltas = np.concatenate([np.ones(len(starts), dtype=np.int64),
-                                     -np.ones(len(ends), dtype=np.int64)])
-            order = np.lexsort((deltas, times))
-            times = times[order]
-            deltas = deltas[order]
-            counts = np.cumsum(deltas)
-            # compress repeated timestamps, keep the final count at each time
-            if len(times):
-                keep = np.empty(len(times), dtype=bool)
-                keep[:-1] = times[1:] != times[:-1]
-                keep[-1] = True
-                times = times[keep]
-                counts = counts[keep]
-            if len(times) == 0 or times[0] != 0:
-                times = np.concatenate([[0], times])
-                counts = np.concatenate([[0], counts])
-            self._steps_cache = (times, counts)
+            ivs = np.concatenate(self._per_core)
+            self._steps_cache = step_function(ivs[:, 0], ivs[:, 1], 0)
         return self._steps_cache
 
     def active_count_at(self, t_us: int) -> int:
@@ -284,54 +261,75 @@ class FrequencyTrace:
         return max(f for _, f in self.segments)
 
 
-def _ceil_to(t: int, step: int) -> int:
-    return -(-t // step) * step
+def step_function(starts: np.ndarray, ends: np.ndarray,
+                  origin: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many [start, end) intervals cover each time at or after ``origin``.
 
-
-def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace:
-    """Run the power-control unit over an activity trace.
-
-    The PCU samples the active-core count at every tick k*pcu_period and sets
-    the matching level frequency for the following period. Downward changes
-    take effect at the sampling tick; upward changes are additionally delayed
-    by the policy's recovery delay (a later downward decision cancels a
-    pending upward ramp).
+    Returns (times, counts): counts[i] intervals cover [times[i], times[i+1]),
+    the last count holds from the last time on, and times[0] == origin. No
+    start may lie before ``origin``.
     """
-    if activity.core_count != policy.core_count:
-        raise DomainError("activity core_count does not match policy")
-    period = policy.pcu_period_us
-    horizon = activity.horizon_us
-    times, counts = activity.steps()
+    times = np.concatenate([[origin], starts, ends])
+    deltas = np.concatenate([[0], np.ones(len(starts), dtype=np.int64),
+                             np.full(len(ends), -1, dtype=np.int64)])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    counts = np.cumsum(deltas[order])
+    # keep the final count at each distinct time
+    keep = np.append(times[1:] != times[:-1], True)
+    return times[keep], counts[keep]
 
-    # Targets as sampled at PCU ticks: each activity span contributes its
-    # level only if a tick lands inside it.
+
+def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
+             end_us: int) -> list[tuple[int, int]]:
+    """Run the power-control unit over an active-count step function.
+
+    ``counts[i]`` cores are active on [times[i], times[i+1]) (the last count
+    until ``end_us``); the walk starts at ``times[0]``. Returns the effective
+    frequency as sorted (start_us, hz) segments, the first at ``times[0]``,
+    with no two neighbours at the same frequency.
+
+    - The PCU samples the active count at every absolute tick k*pcu_period
+      and targets the level frequency for that count.
+    - A span of activity that no tick lands in is never seen: sub-period
+      blips between ticks are missed.
+    - A downward target takes effect at its tick. An upward target takes
+      effect ``recovery_delay_us`` after its tick, unless a later tick
+      decides downward first, which cancels the pending ramp.
+    - When a ramp fires on the same tick as a downward decision, the
+      decision wins and the two collapse into one segment.
+    """
+    period = policy.pcu_period_us
     events: list[tuple[int, int]] = []  # (tick_us, target_hz)
     last_target = None
     n = len(times)
     for i in range(n):
-        t0 = int(times[i])
-        t1 = int(times[i + 1]) if i + 1 < n else horizon
-        if t0 >= horizon:
+        t0 = times[i]
+        if t0 >= end_us:
             break
-        tick = _ceil_to(t0, period)
-        if tick >= min(t1, horizon):
-            continue  # span shorter than the PCU period and never sampled
-        target = turbo_frequency(policy, int(counts[i]))
+        t1 = times[i + 1] if i + 1 < n else end_us
+        tick = -(-t0 // period) * period
+        if tick >= min(t1, end_us):
+            continue  # span never sampled
+        target = turbo_frequency(policy, counts[i])
         if target != last_target:
             events.append((tick, target))
             last_target = target
 
     segments: list[tuple[int, int]] = []
-    current: int | None = None
+    current = None
     pending: tuple[int, int] | None = None  # (target_hz, fire_us)
 
     def emit(t: int, f: int):
         nonlocal current
         if segments and segments[-1][0] == t:
             segments[-1] = (t, f)
+            # collapse if the rewrite made it equal to its predecessor
+            if len(segments) >= 2 and segments[-2][1] == f:
+                segments.pop()
         elif not segments or segments[-1][1] != f:
             segments.append((t, f))
-        current = f
+        current = segments[-1][1]
 
     for tick, target in events:
         if pending is not None and pending[1] <= tick:
@@ -343,20 +341,28 @@ def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace
             emit(tick, target)
             pending = None
         elif target > current:
-            fire = tick + policy.recovery_delay_us
             if pending is None or pending[0] != target:
-                pending = (target, fire)
+                pending = (target, tick + policy.recovery_delay_us)
         else:
             pending = None
-    if pending is not None and pending[1] < horizon:
+    if pending is not None and pending[1] < end_us:
         emit(pending[1], pending[0])
 
     if not segments:
-        segments = [(0, turbo_frequency(policy, 0))]
-    if segments[0][0] != 0:
-        # the first PCU decision is at tick 0 by construction
-        segments.insert(0, (0, segments[0][1]))
-    return FrequencyTrace(segments=segments, horizon_us=horizon)
+        return [(times[0], turbo_frequency(policy, 0))]
+    # the first decision's frequency holds back to the start of the walk
+    segments[0] = (times[0], segments[0][1])
+    return segments
+
+
+def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace:
+    """Run the power-control unit over a whole activity trace (see
+    ``pcu_walk`` for its rules)."""
+    if activity.core_count != policy.core_count:
+        raise DomainError("activity core_count does not match policy")
+    times, counts = activity.steps()
+    segments = pcu_walk(policy, times.tolist(), counts.tolist(), activity.horizon_us)
+    return FrequencyTrace(segments=segments, horizon_us=activity.horizon_us)
 
 
 @dataclass(frozen=True)

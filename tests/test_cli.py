@@ -1,3 +1,5 @@
+import pytest
+
 from turbochannel.cli import main
 
 IDLE_CFG = """
@@ -105,3 +107,27 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys):
     cfg.write_text(IDLE_CFG.replace("payload_bytes = 16", "payload_bytes = abc"))
     assert main(["run", str(cfg)]) == 2
     assert "payload_bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [("idle_noies = off", "idle_noies"),
+                                       ("policy.level = 2:3.0, 8:2.1", "policy.level")])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, line, key):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(IDLE_CFG + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_idle_noise_takes_only_on_off_values(tmp_path, capsys):
+    off = _run_csv(tmp_path, "off", IDLE_CFG + "idle_noise = off\n")
+    assert _run_csv(tmp_path, "no", IDLE_CFG + "idle_noise = No\n") == off
+    assert _run_csv(tmp_path, "on", IDLE_CFG + "idle_noise = TRUE\n") != off
+    cfg = tmp_path / "of.cfg"
+    cfg.write_text(IDLE_CFG + "idle_noise = of\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "idle_noise" in capsys.readouterr().err
+
+
+def test_repeated_key_takes_the_last_value(tmp_path):
+    once = _run_csv(tmp_path, "once", IDLE_CFG.replace("seeds = 1, 2", "seeds = 3"))
+    assert _run_csv(tmp_path, "twice", IDLE_CFG + "seeds = 3\n") == once

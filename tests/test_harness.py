@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from turbochannel.fec import rs_correctable
@@ -9,7 +7,7 @@ from turbochannel.harness import (ConfigError, Scenario,
                                   parse_csv, parse_scenario_config,
                                   plan_marking_cores, plan_threshold,
                                   probe_core_count, record_packet_outcomes,
-                                  run_one, run_scenario, sweep)
+                                  run_one, run_scenario)
 from turbochannel.turbo import (FrequencyTrace, NoiseProfile, builtin_policy,
                                 turbo_frequency)
 
@@ -100,14 +98,6 @@ class TestNoiseHistogram:
 
 
 class TestRunScenario:
-    def test_single_element_sweep_equals_run(self):
-        s = scenario(seeds=(3,), idle_noise=False, jitter_sigma=0.0,
-                     preempt_tx_rate=0.0, preempt_rx_rate=0.0)
-        a = run_scenario(s)
-        b = sweep(s, [7_000])
-        assert [dataclasses.asdict(r) for r in a.rows] == \
-               [dataclasses.asdict(r) for r in b.rows]
-
     def test_turbo_off_breaks_the_channel(self):
         s = scenario(countermeasure="turbo-off", seeds=(1,), max_retries=2)
         r = run_one(s, 7_000, 1)

@@ -304,14 +304,12 @@ class TestSimulatedTransfer:
         assert data == payload
 
     def test_send_and_recv_views(self):
-        from turbochannel.link import recv_reliable, send_reliable
+        from turbochannel.link import send_reliable
         s = quiet_scenario(payload_bytes=16)
         payload = pad_payload(bytes(range(16)))
         sim, link_cfg, data_cfg, ack_cfg = build_simulation(s, 7_000, 2)
         stats = send_reliable(sim, payload, link_cfg, data_cfg, ack_cfg)
         assert stats.bytes_delivered == 16
-        sim2, *_ = build_simulation(s, 7_000, 2)
-        assert recv_reliable(sim2, payload, link_cfg, data_cfg, ack_cfg) == payload
 
     def test_failed_transfer_carries_partial_stats(self):
         s = quiet_scenario(payload_bytes=16, countermeasure="turbo-off",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from strategies import noise_profiles
 
 from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
                               sample_frequency, transmit)
-from turbochannel.turbo import DomainError, NoiseProfile, builtin_policy
+from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
+                                NoiseProfile, apply_policy, builtin_policy,
+                                merge)
 
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
@@ -165,6 +169,51 @@ class TestTimelineConsistency:
         series = sample_frequency(sim.receiver, 1_000, (0, 40_000))
         # 4 background cores + the sampling core = 5 active: all-core level
         assert set(series.counts.tolist()) == {2_100_000}
+
+
+def _spans():
+    # whole milliseconds make transitions meet PCU ticks and each other;
+    # lengths up to 0.3 s reach past the slowest recovery ramp
+    return st.integers(1, 4).map(lambda k: k * 1_000) | st.integers(1, 300_000)
+
+
+class TestWindowedWalk:
+    HORIZON = 1_000_000
+
+    @pytest.mark.parametrize("policy", [XEON, RYZEN,
+                                        dataclasses.replace(XEON, recovery_delay_us=3_000)],
+                             ids=["xeon", "ryzen", "xeon-3ms-ramp"])
+    @settings(max_examples=150, deadline=None)
+    @given(resident=st.integers(0, 3),
+           intervals=st.lists(st.tuples(st.integers(0, 7), _spans(), _spans()),
+                              min_size=1, max_size=20),
+           queries=st.lists(st.tuples(st.integers(0, 40).map(lambda k: k * 1_000)
+                                      | st.integers(0, HORIZON - 1),
+                                      st.integers(1, 200_000)),
+                            min_size=1, max_size=5))
+    def test_window_matches_the_whole_trace_walk(self, policy, resident, intervals,
+                                                 queries):
+        # resident cores park the package next to a level bound, so a single
+        # interval moves the frequency; each core's intervals follow each
+        # other after the drawn gaps
+        sim = SimulatedChannel(policy, self.HORIZON, tx_core_count=2)
+        spans = [(core, 0, self.HORIZON) for core in range(resident)]
+        cursor = [0] * 8
+        for core, gap, length in intervals:
+            start = cursor[core] + gap
+            cursor[core] = min(start + length, self.HORIZON)
+            if start < self.HORIZON:
+                spans.append((core, start, cursor[core]))
+        for core, start, end in spans:
+            sim.commit_core(core, start, end)
+        whole = apply_policy(policy, merge([ActivityTrace(8, self.HORIZON, {core: [(s, e)]})
+                                            for core, s, e in spans])).segments
+        for a, length in queries:
+            b = min(a + length, self.HORIZON)
+            later = [(max(s, a), f) for s, f in whole if s < b]
+            clipped = [seg for seg, nxt in zip(later, later[1:] + [(b, None)])
+                       if nxt[0] > a]
+            assert sim.frequency_trace(a, b) == FrequencyTrace(clipped, b)
 
 
 class TestSampleSeries:

@@ -10,7 +10,8 @@ from strategies import noise_profiles
 from turbochannel.turbo import (ActivityTrace, DomainError, NoiseProfile,
                                 TurboPolicy, _coalesce, _poisson_events,
                                 apply_policy, builtin_policy, generate_noise,
-                                merge, noise_stream, turbo_frequency)
+                                merge, noise_stream, step_function,
+                                turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
 
@@ -127,6 +128,17 @@ class TestApplyPolicy:
         ft = apply_policy(XEON, act)
         assert ft.segments == [(0, 2_100_000_000)]
 
+    def test_ramp_cancelled_on_its_firing_tick_collapses(self):
+        # the rise to 3 GHz decided at 1 ms fires at 2 ms, the same tick that
+        # decides 2 GHz again: the frequency never leaves 2 GHz
+        policy = TurboPolicy(core_count=2, levels=((1, 3 * GHZ), (2, 2 * GHZ)),
+                             base_frequency_hz=GHZ, recovery_delay_us=1_000)
+        act = ActivityTrace(2, 4_000, {0: [(0, 4_000)],
+                                       1: [(0, 1_000), (2_000, 4_000)]})
+        ft = apply_policy(policy, act)
+        assert ft.segments == [(0, 2 * GHZ)]
+        assert all(type(v) is int for seg in ft.segments for v in seg)
+
 
 @st.composite
 def small_traces(draw):
@@ -147,6 +159,26 @@ def small_traces(draw):
         if ivs:
             intervals[core] = ivs
     return ActivityTrace(3, horizon, intervals)
+
+
+class TestStepFunction:
+    @settings(max_examples=100, deadline=None)
+    @given(origin=st.integers(0, 50),
+           spans=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 40)),
+                          max_size=12))
+    def test_counts_the_covering_intervals(self, origin, spans):
+        starts = np.array([origin + s for s, _ in spans], dtype=np.int64)
+        ends = starts + np.array([n for _, n in spans], dtype=np.int64)
+        times, counts = step_function(starts, ends, origin)
+        assert times[0] == origin
+        assert np.all(np.diff(times) > 0)
+        assert set(times.tolist()) == {origin, *starts.tolist(), *ends.tolist()}
+        for t, c in zip(times.tolist(), counts.tolist()):
+            assert c == sum(1 for s, e in zip(starts, ends) if s <= t < e)
+
+    def test_empty_trace_is_idle_from_zero(self):
+        times, counts = ActivityTrace(3, 1_000).steps()
+        assert times.tolist() == [0] and counts.tolist() == [0]
 
 
 class TestMerge:
