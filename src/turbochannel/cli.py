@@ -33,6 +33,13 @@ def _add_common(p: argparse.ArgumentParser):
                    help="exit nonzero when any transfer fails")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="turbochannel",
                                      description=__doc__.splitlines()[0])
@@ -45,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-histogram", help="background frequency-dip histogram")
     p.add_argument("config", type=Path)
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_at_least_one, default=100)
     p.add_argument("--horizon-ms", type=int, default=1000)
     _add_common(p)
 

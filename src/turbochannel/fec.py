@@ -142,8 +142,11 @@ def read_outcome_trace(path: str | Path) -> list[PacketOutcome]:
         if len(parts) != 3:
             raise DomainError(f"malformed outcome line: {raw!r}")
         _, sent_hex, rx_hex = parts
-        sent = bytes.fromhex(sent_hex)
-        received = None if rx_hex == "-" else bytes.fromhex(rx_hex)
+        try:
+            sent = bytes.fromhex(sent_hex)
+            received = None if rx_hex == "-" else bytes.fromhex(rx_hex)
+        except ValueError:
+            raise DomainError(f"bad hex in outcome line: {raw!r}") from None
         outcomes.append(PacketOutcome(sent, received))
     return outcomes
 

@@ -116,6 +116,12 @@ class Scenario:
             raise ConfigError("payload_bytes must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.oversampling < 3:
+            raise ConfigError(f"oversampling must be >= 3, got {self.oversampling}")
+        for bt in self.bit_times_us:
+            if bt % self.oversampling:
+                raise ConfigError(f"bit time {bt} us is not divisible by "
+                                  f"oversampling {self.oversampling}")
         tx = self.planned_tx_cores()
         noise_cores = self.constant_cores
         if self.countermeasure == "artificial-noise":
@@ -216,8 +222,6 @@ def _estimate_horizon(payload_len: int, cfg: LinkConfig) -> int:
 def build_simulation(s: Scenario, bit_time_us: int, seed: int,
                      horizon_us: int | None = None
                      ) -> tuple[SimulatedChannel, LinkConfig, ModemConfig, ModemConfig]:
-    if bit_time_us % s.oversampling:
-        raise ConfigError("bit_time_us must be divisible by the oversampling")
     link_cfg = LinkConfig(bit_time_us=bit_time_us, max_retries=s.max_retries)
     if horizon_us is None:
         horizon_us = _estimate_horizon(pad_len(s.payload_bytes), link_cfg)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Protocol, Sequence
@@ -273,18 +274,9 @@ class SimulatedChannel:
         times, counts = step_function(np.maximum(live[:, 0], t0),
                                       np.minimum(live[:, 1], end_us), t0)
         segments = pcu_walk(policy, times.tolist(), counts.tolist(), end_us)
-        # clip to the requested span
-        clipped: list[tuple[int, int]] = []
-        for i, (s, f) in enumerate(segments):
-            nxt = segments[i + 1][0] if i + 1 < len(segments) else end_us
-            if nxt <= start_us or s >= end_us:
-                continue
-            clipped.append((max(s, start_us), f))
-        if not clipped:
-            clipped = [(start_us, segments[-1][1])]
-        if clipped[0][0] != start_us:
-            clipped.insert(0, (start_us, clipped[0][1]))
-        return FrequencyTrace(clipped, end_us)
+        # the walk starts at t0 <= start_us: keep the segment holding start_us on
+        i = bisect(segments, start_us, key=itemgetter(0)) - 1
+        return FrequencyTrace([(start_us, segments[i][1])] + segments[i + 1:], end_us)
 
     # -- backend operations ---------------------------------------------------
 
@@ -359,10 +351,11 @@ class SimulatedChannel:
         """Run the counting loop over a time span.
 
         Each window's count is the frequency integral over the window scaled
-        by ops_per_cycle, reduced by any partial preemption of the sampling
-        process and multiplied by measurement jitter. Windows fully inside a
-        preemption are missing. The sampling core is active (and counted)
-        for the whole span.
+        by ops_per_cycle and multiplied by measurement jitter. Every
+        suspension of the sampling process takes its own overlap out of the
+        integral, so overlapping suspensions take their overlap out twice.
+        A window that one suspension covers whole is missing. The sampling
+        core is active (and counted) for the whole span.
         """
         if window_us < MIN_WINDOW_US:
             raise DomainError(f"window must be >= {MIN_WINDOW_US} us")
@@ -380,30 +373,27 @@ class SimulatedChannel:
                                 np.empty(0, dtype=bool))
         bounds = first + window_us * np.arange(n + 1, dtype=np.int64)
 
-        trace = self.frequency_trace(int(bounds[0]), int(bounds[-1]))
-        seg_t, seg_f = trace.boundaries()
-        integrals = _window_integrals(seg_t, seg_f, bounds)
-
-        missing = np.zeros(n, dtype=bool)
+        t0, t1 = int(bounds[0]), int(bounds[-1])
+        seg_t, seg_f = self.frequency_trace(t0, t1).boundaries()
+        # the loop runs at frequency * (1 - depth), where depth counts the
+        # suspensions in force; suspensions are sorted by start, and their
+        # ends only by prefix maximum, since one may end inside another
         preempts = self._preempts[role]
-        if len(preempts):
-            lo = int(np.searchsorted(preempts[:, 1], int(bounds[0]), side="right"))
-            hi = int(np.searchsorted(preempts[:, 0], int(bounds[-1]), side="left"))
-            for ps, pe in preempts[lo:hi]:
-                ps, pe = max(int(ps), int(bounds[0])), min(int(pe), int(bounds[-1]))
-                if pe <= ps:
-                    continue
-                w0 = int((ps - bounds[0]) // window_us)
-                w1 = int(-((bounds[0] - pe) // window_us))  # ceil
-                for w in range(w0, min(w1, n)):
-                    ws = int(bounds[w])
-                    we = int(bounds[w + 1])
-                    os_, oe = max(ps, ws), min(pe, we)
-                    if oe <= os_:
-                        continue
-                    integrals[w] -= _integral_between(seg_t, seg_f, os_, oe)
-                    if os_ == ws and oe == we:
-                        missing[w] = True
+        lo = int(np.searchsorted(np.maximum.accumulate(preempts[:, 1]), t0, side="right"))
+        hi = int(np.searchsorted(preempts[:, 0], t1, side="left"))
+        live = np.clip(preempts[lo:hi], t0, t1)
+        depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
+        # merge the two breakpoint lists by sorting (np.unique would import
+        # numpy.ma, 1.6 MB, on its first call)
+        rate_t = np.sort(np.concatenate([seg_t, depth_t]))
+        rate_t = rate_t[np.append(rate_t[1:] != rate_t[:-1], True)]
+        rate = (seg_f[np.searchsorted(seg_t, rate_t, side="right") - 1]
+                * (1 - depth[np.searchsorted(depth_t, rate_t, side="right") - 1]))
+        integrals = _window_integrals(rate_t, rate, bounds)
+        # a window is missing when one suspension starting at or before it
+        # reaches its end
+        reach = np.maximum.accumulate(np.append(t0, live[:, 1]))
+        missing = reach[np.searchsorted(live[:, 0], bounds[:-1], side="right")] >= bounds[1:]
 
         counts = integrals * (self.ops_per_cycle / 1e6)
         if self.jitter_sigma > 0:
@@ -462,9 +452,3 @@ def _cumulative(seg_t: np.ndarray, seg_f: np.ndarray,
     cum = np.concatenate([[0.0], np.cumsum(f * np.diff(t))])
     return t, cum
 
-
-def _integral_between(seg_t: np.ndarray, seg_f: np.ndarray, a: int, b: int) -> float:
-    if b <= a:
-        return 0.0
-    t, cum = _cumulative(seg_t, seg_f, a, b)
-    return float(cum[-1])

@@ -240,14 +240,8 @@ class FrequencyTrace:
     def frequency_at(self, t_us: int) -> int:
         if not 0 <= t_us < self.horizon_us:
             raise DomainError(f"time {t_us} outside [0, {self.horizon_us})")
-        lo, hi = 0, len(self.segments)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.segments[mid][0] <= t_us:
-                lo = mid
-            else:
-                hi = mid
-        return self.segments[lo][1]
+        # the first segment also holds before its start
+        return self.segments[bisect(self.segments, t_us, 1, key=itemgetter(0)) - 1][1]
 
     def boundaries(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, freqs) arrays; freqs[i] holds on [times[i], times[i+1])."""

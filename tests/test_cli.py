@@ -131,3 +131,27 @@ def test_idle_noise_takes_only_on_off_values(tmp_path, capsys):
 def test_repeated_key_takes_the_last_value(tmp_path):
     once = _run_csv(tmp_path, "once", IDLE_CFG.replace("seeds = 1, 2", "seeds = 3"))
     assert _run_csv(tmp_path, "twice", IDLE_CFG + "seeds = 3\n") == once
+
+
+@pytest.mark.parametrize("value", ["0", "2", "3"])
+def test_oversampling_is_checked_against_the_bit_times(tmp_path, capsys, value):
+    # 0 used to divide by zero; 2 is too few samples per bit; 3 does not divide 7 ms
+    cfg = tmp_path / "os.cfg"
+    cfg.write_text(IDLE_CFG + f"oversampling = {value}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "oversampling" in capsys.readouterr().err
+
+
+def test_noise_histogram_needs_a_run(tmp_path):
+    cfg = tmp_path / "idle.cfg"
+    cfg.write_text(IDLE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["noise-histogram", str(cfg), "--runs", "0"])
+    assert exc.value.code == 2
+
+
+def test_fec_analyze_rejects_bad_hex(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("0 zz00 -\n")
+    assert main(["fec-analyze", str(trace), "--out", str(tmp_path / "out")]) == 2
+    assert "0 zz00 -" in capsys.readouterr().err

@@ -144,6 +144,13 @@ class TestTraceFiles:
         back = read_outcome_trace(path)
         assert back == outcomes
 
+    @pytest.mark.parametrize("line", ["0 zz00 -", "0 00 0g"])
+    def test_bad_hex_names_the_line(self, tmp_path, line):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"# sent received\n{line}\n")
+        with pytest.raises(DomainError, match=line):
+            read_outcome_trace(path)
+
     def test_comparison_rows(self, tmp_path):
         rows = comparison_rows(reference_scenario(), 96, 32, 5_000)
         by_mode = {r["mode"]: r for r in rows}

@@ -216,6 +216,74 @@ class TestWindowedWalk:
             assert sim.frequency_trace(a, b) == FrequencyTrace(clipped, b)
 
 
+def _per_suspension_reference(sim, series, suspensions):
+    """Window counts from exact integer integrals of the frequency trace,
+    each suspension taking its own overlap out of every window it touches."""
+    w = series.window_us
+    bounds = [series.start_us + i * w for i in range(len(series) + 1)]
+    segments = sim.frequency_trace(bounds[0], bounds[-1]).segments
+    ends = [s for s, _ in segments[1:]] + [bounds[-1]]
+
+    def integral(a, b):
+        return sum(f * max(0, min(e, b) - max(s, a))
+                   for (s, f), e in zip(segments, ends))
+
+    counts, missing = [], []
+    for ws, we in zip(bounds, bounds[1:]):
+        total = integral(ws, we) - sum(integral(max(ps, ws), min(pe, we))
+                                       for ps, pe in suspensions)
+        covered = any(ps <= ws and we <= pe for ps, pe in suspensions)
+        counts.append(0 if covered
+                      else int(np.rint(max(total, 0) * (sim.ops_per_cycle / 1e6))))
+        missing.append(covered)
+    return counts, missing
+
+
+class TestSuspendedSampling:
+    HORIZON = 200_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(suspensions=st.lists(st.tuples(st.integers(0, 40).map(lambda k: k * 1_000)
+                                          | st.integers(0, 60_000),
+                                          st.integers(0, 8).map(lambda k: k * 500)
+                                          | st.integers(0, 12_000)),
+                                max_size=8),
+           busy=st.lists(st.tuples(st.integers(3, 7), st.integers(0, 60_000),
+                                   st.integers(1, 20_000)), max_size=6),
+           ops_per_cycle=st.sampled_from([1.0, 0.37]),
+           window=st.sampled_from([500, 1_000, 1_700]),
+           phase=st.sampled_from([0.0, 0.5]) | st.floats(0, 1, exclude_max=True),
+           span=st.tuples(st.integers(0, 10_000), st.integers(30_000, 70_000)))
+    def test_matches_the_per_suspension_reference(self, suspensions, busy,
+                                                  ops_per_cycle, window, phase, span):
+        # whole-millisecond starts and half-millisecond lengths make
+        # suspensions overlap and, on a grid in phase, meet window bounds
+        suspensions = [(s, s + length) for s, length in suspensions]
+        sim = SimulatedChannel(XEON, self.HORIZON, tx_core_count=2, jitter_sigma=0.0,
+                               ops_per_cycle=ops_per_cycle,
+                               preempt_intervals={"receiver": suspensions})
+        sim._grid_frac["receiver"] = phase
+        sim.commit_core(0, 0, self.HORIZON)  # park the package next to a level bound
+        for core, start, length in busy:
+            sim.commit_core(core, start, start + length)
+        series = sample_frequency(sim.receiver, window, span)
+        counts, missing = _per_suspension_reference(sim, series, suspensions)
+        assert series.counts.tolist() == counts
+        assert series.missing.tolist() == missing
+
+    def test_overlapping_suspensions_covering_a_window_only_together(self):
+        # [10, 10.6) and [10.4, 11) ms cover the window [10, 11) between them:
+        # each takes its own 0.6 ms out, so the count is 0, yet the window
+        # is not missing
+        sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 10_600),
+                                                        (10_400, 11_000)]})
+        sim._grid_frac["receiver"] = 0.0
+        series = sample_frequency(sim.receiver, 1_000, (0, 20_000))
+        assert series.start_us == 0
+        assert series.counts[9:12].tolist() == [3_000_000, 0, 3_000_000]
+        assert not series.missing.any()
+
+
 class TestSampleSeries:
     def test_samples_view(self):
         s = SampleSeries(0, 100, np.array([5, 7]), np.array([False, True]))
