@@ -13,24 +13,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fec as fec_mod
-from .harness import (ConfigError, Scenario, emit_csv, load_scenario,
+from .harness import (ConfigError, Scenario, _ms_to_us, emit_csv, load_scenario,
                       noise_change_histogram, run_scenario)
 from .link import ACK_BITS, FRAME_BITS
 from .turbo import DomainError, NoiseProfile, builtin_policy, builtin_policy_names
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None,
-                   help="run a single seed instead of the configured list")
     p.add_argument("--out", type=Path, default=Path("out"),
                    help="output directory (default: ./out)")
     p.add_argument("--policy", default=None,
                    help=f"override the policy ({', '.join(builtin_policy_names())})")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when any transfer fails")
 
 
 def _at_least_one(text: str) -> int:
@@ -38,6 +35,14 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _ms(text: str) -> int:
+    """Milliseconds to microseconds, converted exactly as config files are."""
+    try:
+        return _ms_to_us(text)
+    except (ValueError, ArithmeticError):
+        raise argparse.ArgumentTypeError(f"not a time in ms: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=f"{cmd} a scenario config")
         p.add_argument("config", type=Path)
         _add_common(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="run a single seed instead of the configured list")
+        p.add_argument("--strict", action="store_true",
+                       help="exit nonzero when any transfer fails")
 
     p = sub.add_parser("noise-histogram", help="background frequency-dip histogram")
     p.add_argument("config", type=Path)
@@ -58,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fec-analyze", help="error-correction trade-off for a trace")
     p.add_argument("trace", type=Path)
-    p.add_argument("--bit-time-ms", type=float, default=5.0)
+    p.add_argument("--bit-time-ms", type=_ms, default="5")
     p.add_argument("--parity-bytes", type=int, default=4)
     p.add_argument("--out", type=Path, default=Path("out"))
     return parser
@@ -67,16 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if args.policy:
-        from dataclasses import replace
         scenario = replace(scenario, policy=builtin_policy(args.policy))
-    if args.seed is not None:
-        from dataclasses import replace
-        scenario = replace(scenario, seeds=(args.seed,))
     return scenario
 
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
+    if args.seed is not None:
+        scenario = replace(scenario, seeds=(args.seed,))
     report = run_scenario(scenario)
     out = emit_csv(report, args.out / f"{scenario.name}.csv")
     print(f"wrote {out}")
@@ -124,7 +131,7 @@ def _cmd_fec_analyze(args) -> int:
     outcomes = fec_mod.read_outcome_trace(args.trace)
     fec = fec_mod.FecModel(parity_bytes=args.parity_bytes)
     rows = fec_mod.comparison_rows(outcomes, FRAME_BITS, ACK_BITS,
-                                   int(args.bit_time_ms * 1000), fec)
+                                   args.bit_time_ms, fec)
     lines = ["mode,packets,clean,rs_correctable,attempts,goodput_bps"]
     for r in rows:
         lines.append(f"{r['mode']},{r['packets']},{r['clean']},"

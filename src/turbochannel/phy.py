@@ -10,7 +10,6 @@ the counting-loop sampler. A hardware backend would implement the same
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -19,9 +18,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
-                    TurboPolicy, _coalesce, _poisson_events, noise_stream,
-                    pcu_walk, step_function)
+from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseBlock,
+                    NoiseProfile, TurboPolicy, _by_core, _coalesce,
+                    _poisson_events, noise_stream, pcu_walk, step_function)
 from .turbo import generate_noise  # noqa: F401  (perfbench wraps phy.generate_noise)
 
 MIN_WINDOW_US = 100
@@ -159,11 +158,11 @@ class SimulatedChannel:
         self._static: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
                                           for _ in range(policy.core_count)]
         # creating the streams checks the profiles; a pinned channel never
-        # reads past the first interval
-        streams = [noise_stream(p, horizon_us, policy.core_count, self.noise_pool)
-                   for p in noise]
-        self._noise = heapq.merge(*streams, key=itemgetter(1))
-        self._noise_next = next(self._noise, None)
+        # reads them. Each stream keeps the part of its last block that
+        # starts at or after the frontier.
+        self._noise = [noise_stream(p, horizon_us, policy.core_count, self.noise_pool)
+                       for p in noise]
+        self._pending: list[NoiseBlock | None] = [None] * len(self._noise)
         self._frontier = 0  # every noise interval starting before it is in _static
 
         # preemption streams: suspensions of the covert processes; the core
@@ -206,16 +205,21 @@ class SimulatedChannel:
         the unions cost amortised linear time in the noise read."""
         frontier = min(self.horizon_us,
                        max(end_us, 2 * self._frontier, self._frontier + _CHUNK_US))
-        fresh: dict[int, list[tuple[int, int]]] = {}
-        item = self._noise_next
-        while item is not None and item[1] < frontier:
-            fresh.setdefault(item[0], []).append(item[1:])
-            item = next(self._noise, None)
-        self._noise_next = item
+        fresh: list[NoiseBlock] = []
+        for i, stream in enumerate(self._noise):
+            block = self._pending[i] or next(stream, None)
+            while block is not None:
+                cores, starts, ends = block
+                k = int(np.searchsorted(starts, frontier, side="left"))
+                fresh.append((cores[:k], starts[:k], ends[:k]))
+                if k < len(starts):
+                    block = (cores[k:], starts[k:], ends[k:])
+                    break
+                block = next(stream, None)
+            self._pending[i] = block
         self._frontier = frontier
-        for core, ivs in fresh.items():
-            self._static[core] = _union(self._static[core],
-                                        np.asarray(ivs, dtype=np.int64))
+        for core, ivs in _by_core(fresh, self.noise_pool):
+            self._static[core] = _union(self._static[core], ivs)
             self._merged_cache[core] = None
 
     def preempt_intervals(self, role: str) -> np.ndarray:

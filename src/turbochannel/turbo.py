@@ -9,13 +9,13 @@ identical inputs produce identical traces.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from bisect import bisect
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat, starmap
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -390,8 +390,11 @@ class NoiseProfile:
     def __post_init__(self):
         if self.kind not in ("idle-background", "constant-load", "vm-interrupts", "custom"):
             raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.event_rates is not None and any(r < 0 for r in self.event_rates.values()):
-            raise DomainError("event rates must be >= 0")
+        if self.event_rates is not None and not (
+                all(r >= 0 for r in self.event_rates.values())
+                and sum(self.event_rates.values()) < math.inf):
+            # an infinite total rate puts every wakeup at time 0, without end
+            raise DomainError("event rates must be >= 0 with a finite sum")
         if self.interrupt_rate < 0:
             raise DomainError("interrupt_rate must be >= 0")
         if self.constant_cores < 0 or self.toggle_cores < 0:
@@ -420,16 +423,25 @@ def _poisson_events(rng: random.Random, rate_per_s: float, horizon_us: int):
         yield int(t)
 
 
-def noise_stream(profile: NoiseProfile, horizon_us: int, core_count: int,
-                 cores: Sequence[int] | None = None
-                 ) -> Iterator[tuple[int, int, int]]:
-    """Expand a noise profile lazily into (core, start, end) intervals.
+NoiseBlock = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Intervals come in non-decreasing start order and are clipped to the
-    horizon; they may overlap on a core. ``cores`` restricts which cores the
-    generator may touch (round-robin for event kinds); default is all cores.
-    Arguments are checked here, not at the first ``next``, so a bad profile
-    fails where the stream is created.
+# intervals per noise block: small first, so a short query reads little,
+# then doubled up to a cap. The cap bounds what a stream holds between
+# blocks; a finished channel keeps that until the cycle collector frees it
+_BLOCK_MIN = 128
+_BLOCK_MAX = 1024
+
+
+def noise_stream(profile: NoiseProfile, horizon_us: int, core_count: int,
+                 cores: Sequence[int] | None = None) -> Iterator[NoiseBlock]:
+    """Expand a noise profile lazily into blocks of intervals.
+
+    Each block is three int64 arrays ``(cores, starts, ends)``. Intervals
+    come in non-decreasing start order, within a block and from one block to
+    the next, and are clipped to the horizon; they may overlap on a core.
+    ``cores`` restricts which cores the generator may touch (round-robin for
+    event kinds); default is all cores. Arguments are checked here, not at
+    the first ``next``, so a bad profile fails where the stream is created.
     """
     if horizon_us <= 0:
         raise DomainError("horizon_us must be > 0")
@@ -441,10 +453,88 @@ def noise_stream(profile: NoiseProfile, horizon_us: int, core_count: int,
         raise DomainError("not enough cores for constant load")
     if profile.kind == "custom" and profile.toggle_cores > len(pool):
         raise DomainError("not enough cores for toggle noise")
-    return _expand(profile, horizon_us, pool)
+    if profile.kind == "idle-background":
+        return _idle_blocks(profile, horizon_us, pool)
+    return _blocks(_expand(profile, horizon_us, pool))
+
+
+def _idle_blocks(profile: NoiseProfile, horizon_us: int, pool: list[int]):
+    """Idle-background wakeups, drawn a block at a time.
+
+    Each wakeup takes two ``random()`` calls from the profile's generator, in
+    the order ``_poisson_events`` and ``rng.choices`` would make them: the
+    exponential gap, then the duration pick. A block pulls those uniforms in
+    one go and does the arithmetic in numpy, operation for operation, so
+    the stream is bit for bit the one-at-a-time draw.
+    """
+    rates = {d: r for d, r in profile.rates().items() if r > 0}
+    if not rates or not pool:
+        return
+    keys = sorted(rates)
+    durations = np.array([d * US_PER_MS for d in keys], dtype=np.int64)
+    cum_weights = np.array(list(accumulate(rates[d] for d in keys)))
+    total_rate = sum(rates.values())
+    cores = np.array(pool, dtype=np.int64)
+    rng = random.Random(f"noise:{profile.kind}:{profile.seed}")
+    t = 0.0   # arrival time of the last wakeup drawn, as a float
+    idx = 0   # events drawn so far, for the round-robin over the pool
+    n = _BLOCK_MIN
+    while True:
+        starts, picks, t = _draw_wakeups(rng, n, t, total_rate, cum_weights, horizon_us)
+        if len(starts):
+            yield (cores[(idx + np.arange(len(starts))) % len(cores)], starts,
+                   np.minimum(starts + durations[picks], horizon_us))
+        if len(starts) < n:
+            return
+        idx += n
+        n = min(2 * n, _BLOCK_MAX)
+
+
+def _draw_wakeups(rng: random.Random, n: int, t: float, total_rate: float,
+                  cum_weights: np.ndarray, horizon_us: int
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The next ``n`` wakeups after the float time ``t``: the start (us) of
+    each that begins before the horizon, its duration index, and the float
+    arrival time of the last one drawn. The logarithm stays ``math.log``:
+    ``np.log`` differs from it in the last place on some inputs, and one gap
+    moves every later start."""
+    u = np.fromiter(starmap(rng.random, repeat((), 2 * n)), np.float64, 2 * n)
+    # expovariate: -log(1 - u) / rate, in seconds, then scaled to us
+    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
+    with np.errstate(over="ignore"):  # a tiny rate gives an infinite gap
+        gaps = -logs / total_rate * US_PER_S
+        gaps[0] += t
+        arrivals = np.cumsum(gaps)  # in order, as t += gap would add
+    k = int(np.searchsorted(arrivals, horizon_us, side="left"))
+    picks = np.searchsorted(cum_weights[:-1], u[1:2 * k:2] * cum_weights[-1], side="right")
+    return arrivals[:k].astype(np.int64), picks, float(arrivals[-1])
+
+
+def _blocks(items: Iterator[tuple[int, int, int]]) -> Iterator[NoiseBlock]:
+    """Group (core, start, end) items into noise blocks."""
+    n = _BLOCK_MIN
+    while len(flat := np.fromiter(chain.from_iterable(islice(items, n)), np.int64)):
+        block = flat.reshape(-1, 3)
+        yield block[:, 0], block[:, 1], block[:, 2]
+        n = min(2 * n, _BLOCK_MAX)
+
+
+def _by_core(blocks: Sequence[NoiseBlock], cores: Iterable[int]
+             ) -> Iterator[tuple[int, np.ndarray]]:
+    """(core, [start, end) rows) for each of ``cores`` that the blocks touch."""
+    if not blocks:
+        return
+    on, starts, ends = (np.concatenate(col) for col in zip(*blocks))
+    for core in cores:
+        mask = on == core
+        if mask.any():
+            yield core, np.column_stack([starts[mask], ends[mask]])
 
 
 def _expand(profile: NoiseProfile, horizon_us: int, pool: list[int]):
+    """Intervals of the other kinds, one at a time. vm-interrupts and custom
+    draw with ``randint``, which takes a variable number of words from the
+    generator, so their draws are not made in blocks."""
     if profile.kind == "constant-load":
         for c in pool[: profile.constant_cores]:
             yield c, 0, horizon_us
@@ -457,26 +547,9 @@ def _expand(profile: NoiseProfile, horizon_us: int, pool: list[int]):
     if not pool:
         return
     rng = random.Random(f"noise:{profile.kind}:{profile.seed}")
-    if profile.kind == "idle-background":
-        rates = {d: r for d, r in profile.rates().items() if r > 0}
-        keys = sorted(rates)
-        durations = [d * US_PER_MS for d in keys]
-        # rng.choices(durations, [rates[d] for d in keys]) unrolled, draw for
-        # draw: one random() scaled by the total and bisected into the
-        # cumulative weights (about 3x faster than the call)
-        cum_weights = list(accumulate(rates[d] for d in keys))
-        last = len(keys) - 1
-        idx = 0
-        for t in _poisson_events(rng, sum(rates.values()), horizon_us):
-            pick = bisect(cum_weights, rng.random() * cum_weights[-1], 0, last)
-            yield pool[idx % len(pool)], t, min(t + durations[pick], horizon_us)
-            idx += 1
-    else:  # vm-interrupts
-        idx = 0
-        for t in _poisson_events(rng, profile.interrupt_rate, horizon_us):
-            dur = rng.randint(profile.preempt_min_us, profile.preempt_max_us)
-            yield pool[idx % len(pool)], t, min(t + dur, horizon_us)
-            idx += 1
+    for idx, t in enumerate(_poisson_events(rng, profile.interrupt_rate, horizon_us)):
+        dur = rng.randint(profile.preempt_min_us, profile.preempt_max_us)
+        yield pool[idx % len(pool)], t, min(t + dur, horizon_us)
 
 
 def _toggles(profile: NoiseProfile, core: int, horizon_us: int):
@@ -499,10 +572,8 @@ def generate_noise(profile: NoiseProfile, horizon_us: int, core_count: int,
     it has been queried. Degenerate profiles (zero rates, zero cores) yield
     an empty trace.
     """
-    per_core: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for core, start, end in noise_stream(profile, horizon_us, core_count, cores):
-        per_core[core].append((start, end))
+    blocks = list(noise_stream(profile, horizon_us, core_count, cores))
     raw = [np.empty((0, 2), dtype=np.int64) for _ in range(core_count)]
-    for c, ivs in per_core.items():
-        raw[c] = _coalesce(np.asarray(ivs, dtype=np.int64))
+    for c, ivs in _by_core(blocks, range(core_count)):
+        raw[c] = _coalesce(ivs)
     return ActivityTrace(core_count, horizon_us, _raw=raw)

@@ -1,6 +1,9 @@
 import pytest
 
 from turbochannel.cli import main
+from turbochannel.fec import (FecModel, PacketOutcome, comparison_rows,
+                              write_outcome_trace)
+from turbochannel.link import ACK_BITS, FRAME_BITS
 
 IDLE_CFG = """
 name = cli-idle
@@ -155,3 +158,51 @@ def test_fec_analyze_rejects_bad_hex(tmp_path, capsys):
     trace.write_text("0 zz00 -\n")
     assert main(["fec-analyze", str(trace), "--out", str(tmp_path / "out")]) == 2
     assert "0 zz00 -" in capsys.readouterr().err
+
+
+def test_fec_analyze_bit_time_converts_exactly(tmp_path):
+    # float arithmetic made 1.005 ms 1004 us
+    trace = tmp_path / "p.trace"
+    sent = bytes(range(9))
+    outcomes = [PacketOutcome(sent, sent), PacketOutcome(sent, None),
+                PacketOutcome(sent, bytes(9))]
+    write_outcome_trace(trace, outcomes)
+    out = tmp_path / "out"
+    assert main(["fec-analyze", str(trace), "--bit-time-ms", "1.005",
+                 "--out", str(out)]) == 0
+    rows = comparison_rows(outcomes, FRAME_BITS, ACK_BITS, 1005, FecModel(parity_bytes=4))
+    table = (out / "p-fec.csv").read_text().splitlines()[1:]
+    assert [line.rsplit(",", 1)[1] for line in table] == [
+        f"{r['goodput_bps']:.6f}" for r in rows]
+    with pytest.raises(SystemExit) as exc:
+        main(["fec-analyze", str(trace), "--bit-time-ms", "abc"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--strict"]])
+def test_noise_histogram_rejects_run_only_flags(tmp_path, flag):
+    # it always uses seeds 1..runs and runs no transfer
+    cfg = tmp_path / "idle.cfg"
+    cfg.write_text(IDLE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["noise-histogram", str(cfg), "--runs", "1", *flag])
+    assert exc.value.code == 2
+
+
+def test_model_keys_written_out_change_nothing(tmp_path):
+    defaults = ("idle_event_rates = 1:109, 2:5, 3:2, 4:1, 6:1\nops_per_cycle = 1.0\n"
+                "preempt_base_tx = 0.03\npreempt_base_rx = 0.10\n"
+                "preempt_max_per_load_us = 15000\n")
+    left_out = _run_csv(tmp_path, "left-out", IDLE_CFG)
+    assert _run_csv(tmp_path, "written", IDLE_CFG + defaults) == left_out
+    assert _run_csv(tmp_path, "busier", IDLE_CFG + "idle_event_rates = 1:300\n") != left_out
+
+
+@pytest.mark.parametrize("line, key", [("idle_event_rates = 1:-3", "idle event rate"),
+                                       ("idle_event_rates = 0:5", "idle_event_rates"),
+                                       ("ops_per_cycle = 0", "ops_per_cycle")])
+def test_bad_model_values_are_config_errors(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(IDLE_CFG + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert key in capsys.readouterr().err

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import noise_profiles
 
 from turbochannel.fec import rs_correctable
 from turbochannel.harness import (ConfigError, Scenario,
@@ -8,7 +11,8 @@ from turbochannel.harness import (ConfigError, Scenario,
                                   plan_marking_cores, plan_threshold,
                                   probe_core_count, record_packet_outcomes,
                                   run_one, run_scenario)
-from turbochannel.turbo import (FrequencyTrace, NoiseProfile, builtin_policy,
+from turbochannel.turbo import (ActivityTrace, FrequencyTrace, NoiseProfile,
+                                apply_policy, builtin_policy, generate_noise,
                                 turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
@@ -95,6 +99,24 @@ class TestNoiseHistogram:
 
     def test_probe_sits_at_the_top_level_bound(self):
         assert probe_core_count(XEON) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([XEON, builtin_policy("ryzen-2700x-like")]),
+           noise_profiles(max_cores=6), st.integers(1, 2_000_000))
+    def test_matches_probe_traces_built_from_tuples(self, policy, profile, horizon):
+        # reference: each probe trace from tuple lists, checked on the way in
+        probe = probe_core_count(policy)
+        pool = list(range(probe, policy.core_count))
+        noise = generate_noise(profile, horizon, policy.core_count, pool)
+        expected: dict[int, int] = {}
+        for core in pool:
+            if noise.intervals(core):
+                ivs = {c: [(0, horizon)] for c in range(probe)}
+                ivs[core] = noise.intervals(core)
+                trace = apply_policy(policy, ActivityTrace(policy.core_count, horizon, ivs))
+                for ms, n in count_frequency_changes(trace).items():
+                    expected[ms] = expected.get(ms, 0) + n
+        assert noise_change_histogram(policy, profile, horizon) == expected
 
 
 class TestRunScenario:

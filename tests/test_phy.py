@@ -9,8 +9,8 @@ from strategies import noise_profiles
 from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
                               sample_frequency, transmit)
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
-                                NoiseProfile, apply_policy, builtin_policy,
-                                merge)
+                                NoiseProfile, _coalesce, apply_policy,
+                                builtin_policy, merge, noise_stream)
 
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
@@ -332,6 +332,29 @@ class TestLazyNoise:
                 assert a.missing.tolist() == b.missing.tolist()
             else:
                 assert lazy.frequency_trace(start, end) == eager.frequency_trace(start, end)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profiles=st.lists(noise_profiles(), min_size=1, max_size=3),
+           ends=st.lists(st.integers(1, 20_000_000), max_size=6))
+    def test_split_expansion_equals_one_full_draw(self, profiles, ends):
+        # after each expansion, a core holds its preemptions and exactly the
+        # drawn intervals that start before the frontier
+        horizon = 20_000_000
+        sim = SimulatedChannel(XEON, horizon, tx_core_count=2, noise=profiles,
+                               seed=11, sender_preempt_rate=3.0,
+                               receiver_preempt_rate=3.0)
+        preempted = list(sim._static)
+        drawn = [np.column_stack(b) for p in profiles
+                 for b in noise_stream(p, horizon, 8, sim.noise_pool)]
+        on, starts, stops = np.concatenate([np.empty((0, 3), np.int64), *drawn]).T
+        for end in sorted(ends) + [horizon]:
+            sim._expand_noise(end)
+            for core in range(8):
+                read = (on == core) & (starts < sim._frontier)
+                expected = np.concatenate([preempted[core],
+                                           np.column_stack([starts[read], stops[read]])])
+                assert sim._static[core].tolist() == _coalesce(expected).tolist()
+        assert sim._frontier == horizon
 
     def test_query_inside_the_frontier_sees_all_of_it(self):
         # a query ending at 0.1 s expands about a second of noise; a later

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import noise_profiles
 
-from turbochannel.turbo import (ActivityTrace, DomainError, NoiseProfile,
-                                TurboPolicy, _coalesce, _poisson_events,
-                                apply_policy, builtin_policy, generate_noise,
-                                merge, noise_stream, step_function,
-                                turbo_frequency)
+from turbochannel.turbo import (IDLE_EVENT_RATES, ActivityTrace, DomainError,
+                                NoiseProfile, TurboPolicy, _coalesce,
+                                _poisson_events, apply_policy, builtin_policy,
+                                generate_noise, merge, noise_stream,
+                                step_function, turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
 
@@ -261,6 +261,31 @@ class TestGenerateNoise:
             assert trace.intervals(core) == []
 
 
+def _items(blocks):
+    """A block stream as a list of (core, start, end) items."""
+    items = []
+    for cores, starts, ends in blocks:
+        assert cores.dtype == starts.dtype == ends.dtype == np.int64
+        assert len(cores) == len(starts) == len(ends) > 0
+        items += zip(cores.tolist(), starts.tolist(), ends.tolist())
+    return items
+
+
+def _idle_reference(seed, event_rates, horizon, pool):
+    """Idle-background wakeups one at a time: a Poisson arrival, then a
+    duration from ``rng.choices``, round-robin over the pool."""
+    rates = {d: r for d, r in event_rates.items() if r > 0}
+    if not rates or not pool:
+        return []
+    durations = sorted(rates)
+    rng = random.Random(f"noise:idle-background:{seed}")
+    expected = []
+    for i, t in enumerate(_poisson_events(rng, sum(rates.values()), horizon)):
+        dur = rng.choices(durations, [rates[d] for d in durations])[0] * 1_000
+        expected.append((pool[i % len(pool)], t, min(t + dur, horizon)))
+    return expected
+
+
 class TestNoiseStream:
     @settings(max_examples=80, deadline=None)
     @given(noise_profiles(max_cores=5), st.integers(1, 3_000_000),
@@ -272,7 +297,7 @@ class TestNoiseStream:
             with pytest.raises(DomainError):
                 noise_stream(profile, horizon, 8, cores)
             return
-        items = list(noise_stream(profile, horizon, 8, cores))
+        items = _items(noise_stream(profile, horizon, 8, cores))
         starts = [s for _, s, _ in items]
         assert starts == sorted(starts)
         allowed = set(range(8) if cores is None else cores)
@@ -284,19 +309,24 @@ class TestNoiseStream:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000),
-           st.dictionaries(st.integers(1, 8), st.floats(0, 300), max_size=4))
-    def test_idle_draws_match_random_choices(self, seed, event_rates):
-        # the stream unrolls rng.choices; the plain call is the reference
+           st.dictionaries(st.integers(1, 8), st.floats(0, 300), max_size=4),
+           # 1 us, inside the first block, or across many blocks
+           st.just(1) | st.integers(1, 500_000) | st.integers(1, 100_000_000),
+           st.lists(st.integers(0, 7), max_size=4, unique=True))
+    def test_idle_draws_match_random_choices(self, seed, event_rates, horizon, pool):
+        # the blocks repeat the one-at-a-time draws bit for bit
         profile = NoiseProfile("idle-background", seed=seed, event_rates=event_rates)
-        horizon, pool = 2_000_000, [3, 5, 6]
-        rates = {d: r for d, r in event_rates.items() if r > 0}
-        durations = sorted(rates)
-        rng = random.Random(f"noise:idle-background:{seed}")
-        expected = []
-        for i, t in enumerate(_poisson_events(rng, sum(rates.values()), horizon)):
-            dur = rng.choices(durations, [rates[d] for d in durations])[0] * 1_000
-            expected.append((pool[i % len(pool)], t, min(t + dur, horizon)))
-        assert list(noise_stream(profile, horizon, 8, pool)) == expected
+        assert (_items(noise_stream(profile, horizon, 8, pool))
+                == _idle_reference(seed, event_rates, horizon, pool))
+
+    def test_idle_blocks_grow_to_a_cap(self):
+        # 100 s of the default table is about 11,800 wakeups
+        profile = NoiseProfile("idle-background", seed=4)
+        sizes = [len(starts) for _, starts, _ in noise_stream(profile, 100_000_000, 8)]
+        assert sizes[:4] == [128, 256, 512, 1024]
+        assert all(n == 1024 for n in sizes[4:-1]) and 0 < sizes[-1] <= 1024
+        assert _items(noise_stream(profile, 100_000_000, 8)) == _idle_reference(
+            4, IDLE_EVENT_RATES, 100_000_000, list(range(8)))
 
     def test_checks_run_before_the_first_interval(self):
         too_many = [NoiseProfile("constant-load", constant_cores=3),
@@ -306,6 +336,13 @@ class TestNoiseStream:
                 noise_stream(profile, 1_000_000, 8, cores=[6, 7])
         with pytest.raises(DomainError):
             noise_stream(NoiseProfile("idle-background"), 1_000_000, 8, cores=[8])
+
+    @pytest.mark.parametrize("rates", [{1: -1.0}, {1: float("nan")}, {1: float("inf")},
+                                       {1: 1e308, 2: 1e308}])
+    def test_rates_must_be_nonnegative_with_a_finite_sum(self, rates):
+        # an infinite total rate would put every wakeup at time 0, without end
+        with pytest.raises(DomainError):
+            NoiseProfile("idle-background", event_rates=rates)
 
     def test_inverted_duration_bounds_rejected(self):
         with pytest.raises(DomainError):
