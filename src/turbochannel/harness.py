@@ -7,14 +7,11 @@ rerunning a scenario produces byte-identical CSV.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 from typing import Mapping
-
-import numpy as np
 
 from . import fec as fec_mod
 from .link import (FRAME_BITS, PAYLOAD_BYTES, LinkConfig, TransferFailed,
@@ -22,9 +19,10 @@ from .link import (FRAME_BITS, PAYLOAD_BYTES, LinkConfig, TransferFailed,
 from .modem import (ModemConfig, StreamAssembler, classify_array,
                     default_threshold, modulate)
 from .phy import SimulatedChannel
-from .turbo import (US_PER_MS, ActivityTrace, DomainError, FrequencyTrace,
-                    NoiseProfile, TurboPolicy, apply_policy, builtin_policy,
-                    builtin_policy_names, generate_noise, turbo_frequency)
+from .turbo import (MAX_EVENT_RATE, US_PER_MS, ActivityTrace, DomainError,
+                    FrequencyTrace, NoiseProfile, TurboPolicy, apply_policy,
+                    builtin_policy, builtin_policy_names, generate_noise,
+                    turbo_frequency)
 
 COUNTERMEASURES = ("none", "turbo-off", "cstate-restricted", "artificial-noise")
 
@@ -136,13 +134,10 @@ class Scenario:
         lo, hi = self.preempt_duration_bounds()
         if not 0 <= lo <= hi:
             raise ConfigError(f"preemption bounds must satisfy 0 <= {lo} <= {hi}")
-        if not 0 < self.ops_per_cycle < math.inf:
-            raise ConfigError(f"ops_per_cycle must be finite and > 0, "
-                              f"got {self.ops_per_cycle}")
-        for ms, rate in (self.idle_event_rates or {}).items():
-            if not 0 <= rate < math.inf:
-                raise ConfigError(f"idle event rate for {ms} ms must be finite and >= 0, "
-                                  f"got {rate}")
+        for role, rate in zip(("tx", "rx"), self.preempt_rates()):
+            if not 0 <= rate <= MAX_EVENT_RATE:
+                raise ConfigError(f"{role} preemption rate must be in "
+                                  f"[0, {MAX_EVENT_RATE:g}] per second, got {rate}")
 
     def planned_tx_cores(self) -> int:
         if self.tx_cores is not None:
@@ -353,18 +348,12 @@ def noise_change_histogram(policy: TurboPolicy, profile: NoiseProfile,
         raise ConfigError("policy has no spare cores for a noise histogram")
     noise = generate_noise(profile, horizon_us, policy.core_count, pool)
     hist: dict[int, int] = {}
-    # the probe cores are busy throughout; the arrays are already sorted,
-    # disjoint and inside the horizon, so the trace takes them as they are
-    idle = np.empty((0, 2), dtype=np.int64)
-    probe_ivs = [np.array([[0, horizon_us]], dtype=np.int64)] * probe + [idle] * len(pool)
+    probed = ActivityTrace(policy.core_count, horizon_us,
+                           {c: [(0, horizon_us)] for c in range(probe)})
     for core in pool:
-        ivs = noise._per_core[core]
-        if not len(ivs):
+        if not noise.interval_count(core):
             continue
-        merged = list(probe_ivs)
-        merged[core] = ivs
-        trace = apply_policy(policy, ActivityTrace(policy.core_count, horizon_us,
-                                                   _raw=merged))
+        trace = apply_policy(policy, probed.with_core(core, noise))
         for ms, n in count_frequency_changes(trace).items():
             hist[ms] = hist.get(ms, 0) + n
     return hist
@@ -563,17 +552,6 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _rate_table(text: str) -> dict[int, float]:
-    # whole milliseconds >= 1 : events per second, each duration once
-    table: dict[int, float] = {}
-    for part in text.split(","):
-        ms, rate = part.split(":")
-        if int(ms) < 1 or int(ms) in table:
-            raise ValueError(part)
-        table[int(ms)] = float(rate)
-    return table
-
-
 def _levels(text: str) -> tuple[tuple[int, int], ...]:
     levels = []
     for part in text.split(","):
@@ -585,15 +563,14 @@ def _levels(text: str) -> tuple[tuple[int, int], ...]:
 # config keys named after Scenario fields, with their converters
 _SCENARIO_KEYS = {
     "payload_bytes": int, "seeds": _seed_list, "idle_noise": _on_off,
-    "idle_event_rates": _rate_table, "constant_cores": int,
+    "constant_cores": int,
     "tx_cores": _auto_int, "ack_cores": _auto_int,
     "countermeasure": str, "countermeasure_cores": int,
     "record_packets": int, "oversampling": int, "glitch_max": int,
-    "max_retries": int, "ops_per_cycle": float, "jitter_sigma": float,
+    "max_retries": int, "jitter_sigma": float,
     "preempt_tx_rate": float, "preempt_rx_rate": float,
-    "preempt_base_tx": float, "preempt_base_rx": float,
     "preempt_per_load_core": float,
-    "preempt_min_us": int, "preempt_max_us": int, "preempt_max_per_load_us": int,
+    "preempt_min_us": int, "preempt_max_us": int,
 }
 
 # every key a config may set; any other key is a ConfigError

@@ -257,8 +257,9 @@ class SimulatedChannel:
     def frequency_trace(self, start_us: int, end_us: int) -> FrequencyTrace:
         """Effective frequency over [start, end) given everything committed.
 
-        ``pcu_walk`` runs from a bounded lookback, long enough to cover one
-        period plus any pending recovery ramp.
+        ``pcu_walk`` runs from a lookback that starts at one period plus a
+        recovery ramp and doubles until the walk is exact from ``start_us``
+        on; at time 0 it is exact throughout.
         """
         if self.pinned_frequency_hz is not None:
             return FrequencyTrace([(start_us, self.pinned_frequency_hz)], end_us)
@@ -266,18 +267,21 @@ class SimulatedChannel:
             self._expand_noise(end_us)
         policy = self.policy
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
-        t0 = max(0, start_us - lookback)
-
-        spans = []
-        for core in range(policy.core_count):
-            iv = self._core_intervals(core)
-            lo = int(np.searchsorted(iv[:, 1], t0, side="right"))
-            hi = int(np.searchsorted(iv[:, 0], end_us, side="left"))
-            spans.append(iv[lo:hi])
-        live = np.concatenate(spans)
-        times, counts = step_function(np.maximum(live[:, 0], t0),
-                                      np.minimum(live[:, 1], end_us), t0)
-        segments = pcu_walk(policy, times.tolist(), counts.tolist(), end_us)
+        while True:
+            t0 = max(0, start_us - lookback)
+            spans = []
+            for core in range(policy.core_count):
+                iv = self._core_intervals(core)
+                lo = int(np.searchsorted(iv[:, 1], t0, side="right"))
+                hi = int(np.searchsorted(iv[:, 0], end_us, side="left"))
+                spans.append(iv[lo:hi])
+            live = np.concatenate(spans)
+            times, counts = step_function(np.maximum(live[:, 0], t0),
+                                          np.minimum(live[:, 1], end_us), t0)
+            segments, exact_from = pcu_walk(policy, times.tolist(), counts.tolist(), end_us)
+            if exact_from is not None and exact_from <= start_us:
+                break
+            lookback *= 2
         # the walk starts at t0 <= start_us: keep the segment holding start_us on
         i = bisect(segments, start_us, key=itemgetter(0)) - 1
         return FrequencyTrace([(start_us, segments[i][1])] + segments[i + 1:], end_us)

@@ -21,6 +21,9 @@ import numpy as np
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+# the highest rate (events per second) a noise or preemption process may
+# have: one per microsecond, the resolution of the simulated clock
+MAX_EVENT_RATE = 1e6
 
 # Default background wakeup activity of an otherwise idle machine: short
 # single-core wakeups, bucketed by duration (ms -> events per second).
@@ -147,7 +150,8 @@ class ActivityTrace:
 
     A core is "active" while inside one of its [start, end) intervals (i.e.
     not in a deep sleep state). Intervals per core are kept sorted, disjoint
-    and clipped to [0, horizon).
+    and clipped to [0, horizon). A trace never changes once built; its
+    arrays are read-only, so derived traces share them.
     """
 
     def __init__(self, core_count: int, horizon_us: int,
@@ -175,10 +179,23 @@ class ActivityTrace:
                     if np.any(arr[1:, 0] < arr[:-1, 1]):
                         raise DomainError("overlapping intervals on one core")
                 self._per_core[core] = arr
+        for arr in self._per_core:
+            arr.flags.writeable = False
         self._steps_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def intervals(self, core: int) -> list[tuple[int, int]]:
         return [(int(s), int(e)) for s, e in self._per_core[core]]
+
+    def interval_count(self, core: int) -> int:
+        return len(self._per_core[core])
+
+    def with_core(self, core: int, source: ActivityTrace) -> ActivityTrace:
+        """This trace with ``core``'s intervals replaced by ``source``'s."""
+        if source.core_count != self.core_count or source.horizon_us != self.horizon_us:
+            raise DomainError("with_core requires matching core_count and horizon")
+        raw = list(self._per_core)
+        raw[core] = source._per_core[core]
+        return ActivityTrace(self.core_count, self.horizon_us, _raw=raw)
 
     def total_intervals(self) -> int:
         return sum(len(a) for a in self._per_core)
@@ -275,13 +292,14 @@ def step_function(starts: np.ndarray, ends: np.ndarray,
 
 
 def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
-             end_us: int) -> list[tuple[int, int]]:
+             end_us: int) -> tuple[list[tuple[int, int]], int | None]:
     """Run the power-control unit over an active-count step function.
 
     ``counts[i]`` cores are active on [times[i], times[i+1]) (the last count
     until ``end_us``); the walk starts at ``times[0]``. Returns the effective
     frequency as sorted (start_us, hz) segments, the first at ``times[0]``,
-    with no two neighbours at the same frequency.
+    with no two neighbours at the same frequency, and the time from which
+    they are exact (see below).
 
     - The PCU samples the active count at every absolute tick k*pcu_period
       and targets the level frequency for that count.
@@ -289,9 +307,18 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
       blips between ticks are missed.
     - A downward target takes effect at its tick. An upward target takes
       effect ``recovery_delay_us`` after its tick, unless a later tick
-      decides downward first, which cancels the pending ramp.
+      decides downward first, which cancels the pending ramp, or decides
+      another upward target, which restarts it.
     - When a ramp fires on the same tick as a downward decision, the
       decision wins and the two collapse into one segment.
+
+    A walk from time 0 takes its first decision at once and is exact
+    throughout. A walk that starts later does not know the PCU's state at
+    ``times[0]``, so it assumes the lowest level with no ramp pending.
+    Starting lower never ends higher: the walk stays at or below the true
+    frequency until a tick decides at or below the walk's frequency or one
+    of its ramps fires, and either puts the true PCU into the walk's state.
+    That time is returned, or None if the walk never reaches it.
     """
     period = policy.pcu_period_us
     events: list[tuple[int, int]] = []  # (tick_us, target_hz)
@@ -313,6 +340,8 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
     segments: list[tuple[int, int]] = []
     current = None
     pending: tuple[int, int] | None = None  # (target_hz, fire_us)
+    from_rest = times[0] == 0
+    exact_from = times[0] if from_rest else None
 
     def emit(t: int, f: int):
         nonlocal current
@@ -325,28 +354,35 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
             segments.append((t, f))
         current = segments[-1][1]
 
+    if not from_rest:
+        emit(times[0], policy.levels[-1][1])
     for tick, target in events:
         if pending is not None and pending[1] <= tick:
             emit(pending[1], pending[0])
+            if exact_from is None:
+                exact_from = pending[1]
             pending = None
         if current is None:
             emit(tick, target)
-        elif target < current:
-            emit(tick, target)
-            pending = None
         elif target > current:
             if pending is None or pending[0] != target:
                 pending = (target, tick + policy.recovery_delay_us)
         else:
+            if target < current:
+                emit(tick, target)
             pending = None
+            if exact_from is None:
+                exact_from = tick
     if pending is not None and pending[1] < end_us:
         emit(pending[1], pending[0])
+        if exact_from is None:
+            exact_from = pending[1]
 
     if not segments:
-        return [(times[0], turbo_frequency(policy, 0))]
+        return [(times[0], turbo_frequency(policy, 0))], exact_from
     # the first decision's frequency holds back to the start of the walk
     segments[0] = (times[0], segments[0][1])
-    return segments
+    return segments, exact_from
 
 
 def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace:
@@ -355,7 +391,7 @@ def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace
     if activity.core_count != policy.core_count:
         raise DomainError("activity core_count does not match policy")
     times, counts = activity.steps()
-    segments = pcu_walk(policy, times.tolist(), counts.tolist(), activity.horizon_us)
+    segments, _ = pcu_walk(policy, times.tolist(), counts.tolist(), activity.horizon_us)
     return FrequencyTrace(segments=segments, horizon_us=activity.horizon_us)
 
 
@@ -392,9 +428,11 @@ class NoiseProfile:
             raise DomainError(f"unknown noise kind {self.kind!r}")
         if self.event_rates is not None and not (
                 all(r >= 0 for r in self.event_rates.values())
-                and sum(self.event_rates.values()) < math.inf):
-            # an infinite total rate puts every wakeup at time 0, without end
-            raise DomainError("event rates must be >= 0 with a finite sum")
+                and sum(self.event_rates.values()) <= MAX_EVENT_RATE):
+            # faster, a run draws wakeups the clock cannot tell apart by the
+            # billion; an infinite sum keeps every wakeup at time 0, without end
+            raise DomainError(f"event rates must be >= 0 with a sum of at most "
+                              f"{MAX_EVENT_RATE:g}/s")
         if self.interrupt_rate < 0:
             raise DomainError("interrupt_rate must be >= 0")
         if self.constant_cores < 0 or self.toggle_cores < 0:

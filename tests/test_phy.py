@@ -215,6 +215,25 @@ class TestWindowedWalk:
                        if nxt[0] > a]
             assert sim.frequency_trace(a, b) == FrequencyTrace(clipped, b)
 
+    @pytest.mark.parametrize("core2, query", [
+        # five cores pull the package down to 2.1 GHz at 1 ms; from 2 ms on
+        # the target alternates between 2.7 and 3.0 GHz every 2 ms, so each
+        # change restarts the 3 ms ramp and it never fires
+        ([(1_000, 4_000), (6_000, 8_000), (10_000, 12_000)], 11_000),
+        # the 2.7 GHz ramp decided at 2 ms is replaced by a 3.0 GHz one at
+        # 4 ms; a lookback that starts between ticks missed the 1 ms decision
+        ([(1_000, 3_001)], 6_001)])
+    def test_ramp_pending_since_before_the_lookback(self, core2, query):
+        policy = dataclasses.replace(XEON, recovery_delay_us=3_000)
+        sim = SimulatedChannel(policy, 20_000, tx_core_count=2)
+        for core in (0, 1):
+            sim.commit_core(core, 0, 20_000)
+        for core in (3, 4):
+            sim.commit_core(core, 1_000, 2_000)
+        for start, end in core2:
+            sim.commit_core(2, start, end)
+        assert sim.frequency_trace(query, query + 1).segments == [(query, 2_100_000_000)]
+
 
 def _per_suspension_reference(sim, series, suspensions):
     """Window counts from exact integer integrals of the frequency trace,

@@ -77,6 +77,18 @@ class TestActivityTrace:
         with pytest.raises(DomainError):
             ActivityTrace(2, 1000, {0: [(500, 1500)]})
 
+    def test_with_core_replaces_one_core_and_shares_read_only_rows(self):
+        base = ActivityTrace(3, 1000, {0: [(0, 1000)], 1: [(5, 9)]})
+        source = ActivityTrace(3, 1000, {1: [(100, 200), (300, 400)], 2: [(7, 8)]})
+        t = base.with_core(1, source)
+        assert t == ActivityTrace(3, 1000, {0: [(0, 1000)], 1: [(100, 200), (300, 400)]})
+        assert [t.interval_count(c) for c in range(3)] == [1, 2, 0]
+        assert base.intervals(1) == [(5, 9)]
+        with pytest.raises(ValueError):
+            t._per_core[1][0, 0] = 0
+        with pytest.raises(DomainError):
+            base.with_core(1, ActivityTrace(3, 999))
+
 
 class TestApplyPolicy:
     def test_single_core_constant(self):
@@ -338,11 +350,13 @@ class TestNoiseStream:
             noise_stream(NoiseProfile("idle-background"), 1_000_000, 8, cores=[8])
 
     @pytest.mark.parametrize("rates", [{1: -1.0}, {1: float("nan")}, {1: float("inf")},
-                                       {1: 1e308, 2: 1e308}])
-    def test_rates_must_be_nonnegative_with_a_finite_sum(self, rates):
-        # an infinite total rate would put every wakeup at time 0, without end
+                                       {1: 1e308, 2: 1e308}, {1: 1e9}, {1: 6e5, 2: 5e5}])
+    def test_rates_must_be_nonnegative_with_a_bounded_sum(self, rates):
+        # past 1e6/s a run draws wakeups by the billion; an infinite total
+        # rate keeps them at time 0 without end
         with pytest.raises(DomainError):
             NoiseProfile("idle-background", event_rates=rates)
+        NoiseProfile("idle-background", event_rates={1: 5e5, 2: 5e5})
 
     def test_inverted_duration_bounds_rejected(self):
         with pytest.raises(DomainError):
