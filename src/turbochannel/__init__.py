@@ -20,8 +20,7 @@ from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, ArqReceiver, ArqSender,
 from .modem import (SYNC_WORD, BinarySampleStream, ModemConfig, classify,
                     default_threshold, demodulate, find_sync, modulate,
                     reject_glitches)
-from .phy import (ChannelEndpoint, SampleSeries, SimulatedChannel, TxSchedule,
-                  sample_frequency, transmit)
+from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel, TxSchedule
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, apply_policy, builtin_policy, generate_noise,
                     merge, turbo_frequency)

@@ -4,8 +4,7 @@ The channel is a shared turbo frequency: a transmitter raises the active-core
 count to pull the frequency down, a receiver runs a counting loop on one core
 and reads the frequency back as operations-per-window. This module owns the
 simulation timeline (committed core activity), preemption bookkeeping, and
-the counting-loop sampler. A hardware backend would implement the same
-``ChannelBackend`` surface with busy loops and cycle-counter reads.
+the counting-loop sampler.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,20 +81,10 @@ class SampleSeries:
         return self.start_us + self.window_us * (1 + np.arange(n, dtype=np.int64))
 
 
-class ChannelBackend(Protocol):
-    """Boundary a real-hardware backend would implement."""
-
-    def transmit(self, endpoint: "ChannelEndpoint", schedule: TxSchedule) -> ActivityTrace: ...
-
-    def sample_frequency(self, endpoint: "ChannelEndpoint", window_us: int,
-                         span: tuple[int, int]) -> SampleSeries: ...
-
-
 @dataclass(frozen=True)
 class ChannelEndpoint:
     """Handle for one side of the channel inside a simulation."""
 
-    sim: "SimulatedChannel"
     role: str                   # "sender" | "receiver"
     cores: tuple[int, ...]
 
@@ -142,8 +131,8 @@ class SimulatedChannel:
 
         tx_cores = tuple(range(tx_core_count))
         rx_core = tx_core_count
-        self.sender = ChannelEndpoint(self, "sender", tx_cores)
-        self.receiver = ChannelEndpoint(self, "receiver", (rx_core,))
+        self.sender = ChannelEndpoint("sender", tx_cores)
+        self.receiver = ChannelEndpoint("receiver", (rx_core,))
         if ack_core_count is None:
             ack_core_count = tx_core_count
         if ack_core_count < 1 or ack_core_count - 1 > tx_core_count - 1:
@@ -278,7 +267,7 @@ class SimulatedChannel:
             live = np.concatenate(spans)
             times, counts = step_function(np.maximum(live[:, 0], t0),
                                           np.minimum(live[:, 1], end_us), t0)
-            segments, exact_from = pcu_walk(policy, times.tolist(), counts.tolist(), end_us)
+            segments, exact_from = pcu_walk(policy, times, counts, end_us)
             if exact_from is not None and exact_from <= start_us:
                 break
             lookback *= 2
@@ -410,16 +399,6 @@ class SimulatedChannel:
         counts = np.rint(np.maximum(counts, 0.0)).astype(np.int64)
         counts[missing] = 0
         return SampleSeries(int(bounds[0]), window_us, counts, missing)
-
-
-def transmit(endpoint: ChannelEndpoint, schedule: TxSchedule,
-             anchor_us: int | None = None) -> ActivityTrace:
-    return endpoint.sim.transmit(endpoint, schedule, anchor_us)
-
-
-def sample_frequency(endpoint: ChannelEndpoint, window_us: int,
-                     span: tuple[int, int]) -> SampleSeries:
-    return endpoint.sim.sample_frequency(endpoint, window_us, span)
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:

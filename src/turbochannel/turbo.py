@@ -291,15 +291,15 @@ def step_function(starts: np.ndarray, ends: np.ndarray,
     return times[keep], counts[keep]
 
 
-def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
+def pcu_walk(policy: TurboPolicy, times: np.ndarray, counts: np.ndarray,
              end_us: int) -> tuple[list[tuple[int, int]], int | None]:
     """Run the power-control unit over an active-count step function.
 
     ``counts[i]`` cores are active on [times[i], times[i+1]) (the last count
-    until ``end_us``); the walk starts at ``times[0]``. Returns the effective
-    frequency as sorted (start_us, hz) segments, the first at ``times[0]``,
-    with no two neighbours at the same frequency, and the time from which
-    they are exact (see below).
+    until ``end_us``); ``times`` ascends and the walk starts at ``times[0]``.
+    Returns the effective frequency as sorted (start_us, hz) segments, the
+    first at ``times[0]``, with no two neighbours at the same frequency, and
+    the time from which they are exact (see below).
 
     - The PCU samples the active count at every absolute tick k*pcu_period
       and targets the level frequency for that count.
@@ -321,27 +321,27 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
     That time is returned, or None if the walk never reaches it.
     """
     period = policy.pcu_period_us
-    events: list[tuple[int, int]] = []  # (tick_us, target_hz)
-    last_target = None
-    n = len(times)
-    for i in range(n):
-        t0 = times[i]
-        if t0 >= end_us:
-            break
-        t1 = times[i + 1] if i + 1 < n else end_us
-        tick = -(-t0 // period) * period
-        if tick >= min(t1, end_us):
-            continue  # span never sampled
-        target = turbo_frequency(policy, counts[i])
-        if target != last_target:
-            events.append((tick, target))
-            last_target = target
+    start = int(times[0])
+    # a step before end_us is seen by its first tick, if that comes before it ends
+    n = int(np.searchsorted(times, end_us))
+    ticks = -(-times[:n] // period) * period
+    seen = ticks < np.concatenate((times[1:n], [end_us]))
+    ticks, active = ticks[seen], counts[:n][seen]
+    events: Iterable[tuple[int, int]] = ()  # (tick_us, target_hz)
+    if len(active):
+        if not 0 <= active.min() <= active.max() <= policy.core_count:
+            raise DomainError(f"active count outside [0, {policy.core_count}]")
+        table = np.array([turbo_frequency(policy, k) for k in range(policy.core_count + 1)])
+        targets = table[active]
+        # only a tick whose target differs from the tick before can act
+        change = np.concatenate(([True], targets[1:] != targets[:-1]))
+        events = zip(ticks[change].tolist(), targets[change].tolist())
 
     segments: list[tuple[int, int]] = []
     current = None
     pending: tuple[int, int] | None = None  # (target_hz, fire_us)
-    from_rest = times[0] == 0
-    exact_from = times[0] if from_rest else None
+    from_rest = start == 0
+    exact_from = start if from_rest else None
 
     def emit(t: int, f: int):
         nonlocal current
@@ -355,7 +355,7 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
         current = segments[-1][1]
 
     if not from_rest:
-        emit(times[0], policy.levels[-1][1])
+        emit(start, policy.levels[-1][1])
     for tick, target in events:
         if pending is not None and pending[1] <= tick:
             emit(pending[1], pending[0])
@@ -379,9 +379,9 @@ def pcu_walk(policy: TurboPolicy, times: Sequence[int], counts: Sequence[int],
             exact_from = pending[1]
 
     if not segments:
-        return [(times[0], turbo_frequency(policy, 0))], exact_from
+        return [(start, turbo_frequency(policy, 0))], exact_from
     # the first decision's frequency holds back to the start of the walk
-    segments[0] = (times[0], segments[0][1])
+    segments[0] = (start, segments[0][1])
     return segments, exact_from
 
 
@@ -391,7 +391,7 @@ def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace
     if activity.core_count != policy.core_count:
         raise DomainError("activity core_count does not match policy")
     times, counts = activity.steps()
-    segments, _ = pcu_walk(policy, times.tolist(), counts.tolist(), activity.horizon_us)
+    segments, _ = pcu_walk(policy, times, counts, activity.horizon_us)
     return FrequencyTrace(segments=segments, horizon_us=activity.horizon_us)
 
 
@@ -433,8 +433,9 @@ class NoiseProfile:
             # billion; an infinite sum keeps every wakeup at time 0, without end
             raise DomainError(f"event rates must be >= 0 with a sum of at most "
                               f"{MAX_EVENT_RATE:g}/s")
-        if self.interrupt_rate < 0:
-            raise DomainError("interrupt_rate must be >= 0")
+        if not 0 <= self.interrupt_rate <= MAX_EVENT_RATE:
+            # nan fails the first draw; past the bound gaps round to 0 us
+            raise DomainError(f"interrupt_rate must be in [0, {MAX_EVENT_RATE:g}]/s")
         if self.constant_cores < 0 or self.toggle_cores < 0:
             raise DomainError("core counts must be >= 0")
         if not 0 <= self.preempt_min_us <= self.preempt_max_us:
@@ -464,8 +465,7 @@ def _poisson_events(rng: random.Random, rate_per_s: float, horizon_us: int):
 NoiseBlock = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # intervals per noise block: small first, so a short query reads little,
-# then doubled up to a cap. The cap bounds what a stream holds between
-# blocks; a finished channel keeps that until the cycle collector frees it
+# then doubled up to a cap. The cap bounds what a stream holds between blocks
 _BLOCK_MIN = 128
 _BLOCK_MAX = 1024
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import noise_profiles
 
-from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
-                              sample_frequency, transmit)
+from turbochannel.phy import SampleSeries, SimulatedChannel, TxSchedule
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
                                 NoiseProfile, _coalesce, apply_policy,
                                 builtin_policy, merge, noise_stream)
@@ -37,12 +38,12 @@ class TestTxSchedule:
 class TestTransmit:
     def test_empty_schedule_empty_trace(self):
         sim = quiet_sim()
-        trace = transmit(sim.sender, TxSchedule((), 2))
+        trace = sim.transmit(sim.sender, TxSchedule((), 2))
         assert trace.total_intervals() == 0
 
     def test_marks_activate_all_tx_cores(self):
         sim = quiet_sim()
-        trace = transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
+        trace = sim.transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
         assert trace.intervals(0) == [(0, 7_000)]
         assert trace.intervals(1) == [(0, 7_000)]
         assert trace.active_count_at(3_000) == 2
@@ -50,24 +51,24 @@ class TestTransmit:
     def test_receiver_cannot_transmit(self):
         sim = quiet_sim()
         with pytest.raises(DomainError):
-            transmit(sim.receiver, TxSchedule(((0, 100),), 1))
+            sim.transmit(sim.receiver, TxSchedule(((0, 100),), 1))
 
     def test_schedule_beyond_horizon_rejected(self):
         sim = quiet_sim(horizon_us=10_000)
         with pytest.raises(DomainError):
-            transmit(sim.sender, TxSchedule(((0, 20_000),), 2))
+            sim.transmit(sim.sender, TxSchedule(((0, 20_000),), 2))
 
     def test_preemption_delays_transitions(self):
         # suspension of [4, 7) ms; an entry starting at 5 ms slips by 3 ms
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        trace = transmit(sim.sender, TxSchedule(((5_000, 12_000),), 2),
-                         anchor_us=0)
+        trace = sim.transmit(sim.sender, TxSchedule(((5_000, 12_000),), 2),
+                             anchor_us=0)
         assert trace.intervals(0) == [(8_000, 15_000)]
 
     def test_preemption_before_anchor_ignored(self):
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        trace = transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
-                         anchor_us=9_000)
+        trace = sim.transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
+                             anchor_us=9_000)
         assert trace.intervals(0) == [(10_000, 12_000)]
 
 
@@ -75,7 +76,7 @@ class TestSampleFrequency:
     def test_constant_top_frequency_counts(self):
         sim = quiet_sim()
         sim.commit_core(0, 0, 100_000)  # one resident core
-        series = sample_frequency(sim.receiver, 1_000, (0, 50_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 50_000))
         # two active cores stay at 3.0 GHz: 3e9 * 1 ms = 3,000,000 ops
         assert len(series) > 0
         assert set(series.counts.tolist()) == {3_000_000}
@@ -91,7 +92,7 @@ class TestSampleFrequency:
         flip = 11_000
         sim.commit_core(4, flip, 80_000)
         sim.commit_core(5, flip, 80_000)
-        series = sample_frequency(sim.receiver, 1_000, (500, 60_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (500, 60_000))
         idx = (flip - 500 - series.start_us) // 1_000
         window_counts = series.counts.tolist()
         assert window_counts[idx] == 2_850_000
@@ -100,7 +101,7 @@ class TestSampleFrequency:
 
     def test_fully_preempted_window_missing(self):
         sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 14_000)]})
-        series = sample_frequency(sim.receiver, 1_000, (0, 30_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 30_000))
         start = series.start_us
         full = [i for i in range(len(series))
                 if start + i * 1_000 >= 10_000 and start + (i + 1) * 1_000 <= 14_000]
@@ -110,46 +111,46 @@ class TestSampleFrequency:
     def test_window_below_minimum_rejected(self):
         sim = quiet_sim()
         with pytest.raises(DomainError):
-            sample_frequency(sim.receiver, 99, (0, 10_000))
+            sim.sample_frequency(sim.receiver, 99, (0, 10_000))
 
     def test_span_outside_horizon_rejected(self):
         sim = quiet_sim(horizon_us=10_000)
         with pytest.raises(DomainError):
-            sample_frequency(sim.receiver, 500, (0, 20_000))
+            sim.sample_frequency(sim.receiver, 500, (0, 20_000))
 
     def test_counts_scale_linearly_with_window(self):
         a = quiet_sim()
         b = quiet_sim()
-        sa = sample_frequency(a.receiver, 1_000, (0, 40_000))
-        sb = sample_frequency(b.receiver, 2_000, (0, 40_000))
+        sa = a.sample_frequency(a.receiver, 1_000, (0, 40_000))
+        sb = b.sample_frequency(b.receiver, 2_000, (0, 40_000))
         assert set((2 * sa.counts).tolist()) == set(sb.counts.tolist())
 
     def test_settled_counts_take_few_distinct_values(self):
         # marks at bit scale: counts settle onto the policy's level counts
         sim = quiet_sim()
-        transmit(sim.sender, TxSchedule(((10_000, 30_000), (50_000, 70_000)), 2))
-        series = sample_frequency(sim.receiver, 1_000, (0, 100_000))
+        sim.transmit(sim.sender, TxSchedule(((10_000, 30_000), (50_000, 70_000)), 2))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 100_000))
         assert len(set(series.counts.tolist())) <= len(XEON.levels) + 1
 
     def test_receiver_core_counts_toward_activity(self):
         # the sampling core itself holds the package at the top level
         sim = quiet_sim()
-        series = sample_frequency(sim.receiver, 1_000, (0, 10_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 10_000))
         assert set(series.counts.tolist()) == {3_000_000}
 
     def test_jitter_is_deterministic_per_seed(self):
         runs = []
         for _ in range(2):
             sim = SimulatedChannel(XEON, 100_000, tx_core_count=2, seed=7)
-            series = sample_frequency(sim.receiver, 1_000, (0, 50_000))
+            series = sim.sample_frequency(sim.receiver, 1_000, (0, 50_000))
             runs.append(series.counts.tolist())
         assert runs[0] == runs[1]
 
     def test_pinned_frequency_override(self):
         sim = SimulatedChannel(XEON, 50_000, tx_core_count=2, jitter_sigma=0.0,
                                pinned_frequency_hz=XEON.base_frequency_hz)
-        transmit(sim.sender, TxSchedule(((0, 40_000),), 2))
-        series = sample_frequency(sim.receiver, 1_000, (0, 40_000))
+        sim.transmit(sim.sender, TxSchedule(((0, 40_000),), 2))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 40_000))
         assert set(series.counts.tolist()) == {1_800_000}
 
 
@@ -166,7 +167,7 @@ class TestTimelineConsistency:
         profile = NoiseProfile("constant-load", constant_cores=4)
         sim = SimulatedChannel(XEON, 50_000, tx_core_count=2, jitter_sigma=0.0,
                                noise=[profile])
-        series = sample_frequency(sim.receiver, 1_000, (0, 40_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 40_000))
         # 4 background cores + the sampling core = 5 active: all-core level
         assert set(series.counts.tolist()) == {2_100_000}
 
@@ -285,7 +286,7 @@ class TestSuspendedSampling:
         sim.commit_core(0, 0, self.HORIZON)  # park the package next to a level bound
         for core, start, length in busy:
             sim.commit_core(core, start, start + length)
-        series = sample_frequency(sim.receiver, window, span)
+        series = sim.sample_frequency(sim.receiver, window, span)
         counts, missing = _per_suspension_reference(sim, series, suspensions)
         assert series.counts.tolist() == counts
         assert series.missing.tolist() == missing
@@ -297,7 +298,7 @@ class TestSuspendedSampling:
         sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 10_600),
                                                         (10_400, 11_000)]})
         sim._grid_frac["receiver"] = 0.0
-        series = sample_frequency(sim.receiver, 1_000, (0, 20_000))
+        series = sim.sample_frequency(sim.receiver, 1_000, (0, 20_000))
         assert series.start_us == 0
         assert series.counts[9:12].tolist() == [3_000_000, 0, 3_000_000]
         assert not series.missing.any()
@@ -344,8 +345,8 @@ class TestLazyNoise:
         for sample, start, length in queries:
             end = min(start + length, self.HORIZON)
             if sample:
-                a = sample_frequency(lazy.receiver, 1_000, (start, end))
-                b = sample_frequency(eager.receiver, 1_000, (start, end))
+                a = lazy.sample_frequency(lazy.receiver, 1_000, (start, end))
+                b = eager.sample_frequency(eager.receiver, 1_000, (start, end))
                 assert a.start_us == b.start_us
                 assert a.counts.tolist() == b.counts.tolist()
                 assert a.missing.tolist() == b.missing.tolist()
@@ -386,6 +387,19 @@ class TestLazyNoise:
         later = (500_000, 900_000)
         assert lazy.frequency_trace(*later) == eager.frequency_trace(*later)
         assert len(eager.frequency_trace(*later).segments) > 1
+
+    def test_finished_channel_is_freed_without_the_cycle_collector(self):
+        # a channel holds its timeline and its streams' pending noise blocks;
+        # nothing it owns points back at it, so dropping it frees them at once
+        sim = self.channel(XEON, [NoiseProfile("idle-background", seed=3)], 1)
+        sim.sample_frequency(sim.receiver, 1_000, (0, 200_000))
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("pinned", [None, XEON.base_frequency_hz])
     @pytest.mark.parametrize("profile", [NoiseProfile("constant-load", constant_cores=6),

@@ -1,9 +1,10 @@
 import dataclasses
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import noise_profiles
 
@@ -11,9 +12,10 @@ from turbochannel.turbo import (IDLE_EVENT_RATES, ActivityTrace, DomainError,
                                 NoiseProfile, TurboPolicy, _coalesce,
                                 _poisson_events, apply_policy, builtin_policy,
                                 generate_noise, merge, noise_stream,
-                                step_function, turbo_frequency)
+                                pcu_walk, step_function, turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
+RYZEN = builtin_policy("ryzen-2700x-like")
 
 GHZ = 1_000_000_000
 
@@ -150,6 +152,113 @@ class TestApplyPolicy:
         ft = apply_policy(policy, act)
         assert ft.segments == [(0, 2 * GHZ)]
         assert all(type(v) is int for seg in ft.segments for v in seg)
+
+
+def _per_step_walk(policy, times, counts, end_us):
+    """``pcu_walk`` one step at a time, with a ``turbo_frequency`` lookup
+    at each sampled step: the reference for the vectorised scan."""
+    period = policy.pcu_period_us
+    events = []
+    last_target = None
+    n = len(times)
+    for i in range(n):
+        t0 = times[i]
+        if t0 >= end_us:
+            break
+        t1 = times[i + 1] if i + 1 < n else end_us
+        tick = -(-t0 // period) * period
+        if tick >= min(t1, end_us):
+            continue
+        target = turbo_frequency(policy, counts[i])
+        if target != last_target:
+            events.append((tick, target))
+            last_target = target
+
+    segments = []
+    current = None
+    pending = None
+    from_rest = times[0] == 0
+    exact_from = times[0] if from_rest else None
+
+    def emit(t, f):
+        nonlocal current
+        if segments and segments[-1][0] == t:
+            segments[-1] = (t, f)
+            if len(segments) >= 2 and segments[-2][1] == f:
+                segments.pop()
+        elif not segments or segments[-1][1] != f:
+            segments.append((t, f))
+        current = segments[-1][1]
+
+    if not from_rest:
+        emit(times[0], policy.levels[-1][1])
+    for tick, target in events:
+        if pending is not None and pending[1] <= tick:
+            emit(pending[1], pending[0])
+            if exact_from is None:
+                exact_from = pending[1]
+            pending = None
+        if current is None:
+            emit(tick, target)
+        elif target > current:
+            if pending is None or pending[0] != target:
+                pending = (target, tick + policy.recovery_delay_us)
+        else:
+            if target < current:
+                emit(tick, target)
+            pending = None
+            if exact_from is None:
+                exact_from = tick
+    if pending is not None and pending[1] < end_us:
+        emit(pending[1], pending[0])
+        if exact_from is None:
+            exact_from = pending[1]
+    if not segments:
+        return [(times[0], turbo_frequency(policy, 0))], exact_from
+    segments[0] = (times[0], segments[0][1])
+    return segments, exact_from
+
+
+@st.composite
+def step_functions(draw):
+    """(times, counts, end_us) of an active-count step function: from time 0
+    or later, with steps on ticks, between them and up to a slow ramp long,
+    and an end that may fall on or before the last steps."""
+    start = draw(st.just(0) | st.integers(0, 20_000))
+    gaps = draw(st.lists(st.integers(1, 4).map(lambda k: k * 500)
+                         | st.integers(1, 3_000) | st.integers(1, 500_000),
+                         max_size=40))
+    times = list(accumulate(gaps, initial=start))
+    counts = draw(st.lists(st.integers(0, 8), min_size=len(times), max_size=len(times)))
+    end_us = draw(st.sampled_from(times[1:]) | st.integers(start + 1, times[-1] + 5_000)
+                  if len(times) > 1 else st.integers(start + 1, start + 5_000))
+    return times, counts, end_us
+
+
+class TestPcuWalk:
+    @pytest.mark.parametrize("policy", [XEON, RYZEN,
+                                        dataclasses.replace(XEON, recovery_delay_us=3_000)],
+                             ids=["xeon", "ryzen", "xeon-3ms-ramp"])
+    @settings(max_examples=300, deadline=None)
+    @given(steps=step_functions())
+    # the step at 500 us is first sampled by the tick at 1 ms, where the next
+    # step starts: it is never seen
+    @example(steps=([0, 500, 1_000], [1, 5, 1], 10_000))
+    def test_matches_the_per_step_walk(self, policy, steps):
+        times, counts, end_us = steps
+        segments, exact_from = pcu_walk(policy, np.array(times, dtype=np.int64),
+                                        np.array(counts, dtype=np.int64), end_us)
+        assert (segments, exact_from) == _per_step_walk(policy, times, counts, end_us)
+        assert all(type(v) is int for seg in segments for v in seg)
+        assert exact_from is None or type(exact_from) is int
+
+    @pytest.mark.parametrize("count", [-1, 9])
+    def test_count_outside_the_table_rejected(self, count):
+        times = np.array([0, 1_000, 2_000], dtype=np.int64)
+        counts = np.array([1, count, 1], dtype=np.int64)
+        for walk in (pcu_walk, _per_step_walk):
+            with pytest.raises(DomainError):
+                walk(XEON, times, counts, 3_000)
 
 
 @st.composite
@@ -357,6 +466,14 @@ class TestNoiseStream:
         with pytest.raises(DomainError):
             NoiseProfile("idle-background", event_rates=rates)
         NoiseProfile("idle-background", event_rates={1: 5e5, 2: 5e5})
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 1e12, -1.0])
+    def test_interrupt_rate_is_bounded(self, rate):
+        # nan fails the first draw; an unbounded rate keeps every
+        # preemption at time 0 without end
+        with pytest.raises(DomainError):
+            NoiseProfile("vm-interrupts", interrupt_rate=rate)
+        NoiseProfile("vm-interrupts", interrupt_rate=1e6)
 
     def test_inverted_duration_bounds_rejected(self):
         with pytest.raises(DomainError):
