@@ -13,13 +13,12 @@ from .fec import (FecModel, PacketOutcome, byte_errors, estimate_goodput,
 from .harness import (Scenario, ScenarioReport, count_frequency_changes,
                       emit_csv, load_scenario, noise_change_histogram,
                       run_scenario)
-from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, ArqReceiver, ArqSender,
-                   LinkConfig, TransferFailed, TransferStats, crc16,
-                   decode_ack, decode_frame, encode_ack, encode_frame,
-                   pad_payload, run_transfer, send_reliable)
-from .modem import (SYNC_WORD, BinarySampleStream, ModemConfig, classify,
-                    default_threshold, demodulate, find_sync, modulate,
-                    reject_glitches)
+from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, ArqReceiver,
+                   ArqSender, LinkConfig, TransferFailed, TransferStats, crc16,
+                   decode_frame, encode_frame, next_frame, pad_payload,
+                   run_transfer, scan_ack)
+from .modem import (BinarySampleStream, ModemConfig, classify,
+                    default_threshold, demodulate, modulate, reject_glitches)
 from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel, TxSchedule
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, apply_policy, builtin_policy, generate_noise,

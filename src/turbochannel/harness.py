@@ -14,8 +14,9 @@ from pathlib import Path
 from typing import Mapping
 
 from . import fec as fec_mod
-from .link import (FRAME_BITS, PAYLOAD_BYTES, LinkConfig, TransferFailed,
-                   bytes_of_bits, encode_frame, pad_payload, run_transfer)
+from .link import (FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, LinkConfig,
+                   TransferFailed, bytes_of_bits, encode_frame, next_frame,
+                   pad_payload, run_transfer)
 from .modem import (ModemConfig, StreamAssembler, classify_array,
                     default_threshold, modulate)
 from .phy import SimulatedChannel
@@ -405,23 +406,19 @@ def record_packet_outcomes(s: Scenario, bit_time_us: int, seed: int,
     times = asm.bit_times
 
     received: dict[int, bytes] = {}
-    pos = 0
-    sync = data_cfg.sync_word
-    while True:
-        idx = bits.find(sync, pos)
-        if idx < 0 or idx + FRAME_BITS > len(bits):
-            break
+    sync_len = len(SYNC_WORD)
+    idx = next_frame(bits, 0, FRAME_BITS)
+    while idx is not None:
         slot = round((times[idx] - t0) / (slot_bits * bit_time_us))
-        body = bits[idx + len(sync): idx + FRAME_BITS]
         if 0 <= slot < packet_count and slot not in received:
-            received[slot] = bytes_of_bits(body)
-            pos = idx + FRAME_BITS
+            received[slot] = bytes_of_bits(bits[idx + sync_len: idx + FRAME_BITS])
+            idx = next_frame(bits, idx + FRAME_BITS, FRAME_BITS)
         else:
-            pos = idx + 1
+            idx = next_frame(bits, idx + 1, FRAME_BITS)
 
     outcomes = []
     for i, frame_bits in enumerate(frames):
-        sent = bytes_of_bits(frame_bits[len(sync):])
+        sent = bytes_of_bits(frame_bits[sync_len:])
         outcomes.append(fec_mod.PacketOutcome(sent, received.get(i)))
     return outcomes
 

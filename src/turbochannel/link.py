@@ -2,14 +2,14 @@
 
 Wire format (MSB first throughout):
 
-    data frame (96 bits): sync 10101100 | seq (8) | payload (64) | CRC-16 (16)
-    ack frame  (32 bits): sync 10101100 | seq (8) | CRC-16 (16)
+    frame (96 bits): sync 10101100 | seq (8) | payload (64) | CRC-16 (16)
 
-The CRC is CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, unreflected, no
-final xor) over the seq byte plus payload. Reliability is stop-and-wait:
-one frame in flight, the receiver acks the last correctly received sequence
-number, the sender retransmits on timeout or on a corrupt ack, duplicates
-are re-acked but delivered once.
+An ack is a frame with an empty payload (32 bits). The CRC is
+CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, unreflected, no final xor)
+over the seq byte plus payload. Reliability is stop-and-wait: one frame in
+flight, the receiver acks the last correctly received sequence number, the
+sender retransmits on timeout or on a corrupt ack, duplicates are re-acked
+but delivered once.
 """
 
 from __future__ import annotations
@@ -69,71 +69,71 @@ class CrcFailureError(FrameError):
     pass
 
 
-def encode_frame(seq: int, payload: bytes) -> str:
+def encode_frame(seq: int, payload: bytes = b"") -> str:
+    """A data frame, or an ack when ``payload`` is empty."""
     if not 0 <= seq <= 0xFF:
         raise DomainError("seq must fit in 8 bits")
-    if len(payload) != PAYLOAD_BYTES:
-        raise DomainError(f"payload must be exactly {PAYLOAD_BYTES} bytes")
+    if len(payload) not in (0, PAYLOAD_BYTES):
+        raise DomainError(f"payload must be empty or {PAYLOAD_BYTES} bytes")
     body = bytes([seq]) + payload
     return SYNC_WORD + bits_of_bytes(body) + format(crc16(body), "016b")
 
 
-def decode_frame(bits: str) -> tuple[int, bytes]:
-    if len(bits) < FRAME_BITS:
-        raise TruncatedFrameError(f"need {FRAME_BITS} bits, got {len(bits)}")
-    if bits[:8] != SYNC_WORD:
+def decode_frame(bits: str, length: int = FRAME_BITS) -> tuple[int, bytes]:
+    """(seq, payload) of the ``length``-bit frame at the start of ``bits``."""
+    if len(bits) < length:
+        raise TruncatedFrameError(f"need {length} bits, got {len(bits)}")
+    if not bits.startswith(SYNC_WORD):
         raise SyncMismatchError("frame does not start with the sync word")
-    body = bytes_of_bits(bits[8:80])
-    crc = int(bits[80:96], 2)
-    if crc16(body) != crc:
+    body = bytes_of_bits(bits[len(SYNC_WORD):length - 16])
+    if crc16(body) != int(bits[length - 16:length], 2):
         raise CrcFailureError("frame checksum mismatch")
     return body[0], body[1:]
 
 
-def encode_ack(seq: int) -> str:
-    if not 0 <= seq <= 0xFF:
-        raise DomainError("seq must fit in 8 bits")
-    body = bytes([seq])
-    return SYNC_WORD + bits_of_bytes(body) + format(crc16(body), "016b")
+def next_frame(bits: str, pos: int, length: int) -> int | None:
+    """Start of the first sync word at or after ``pos`` that has a whole
+    ``length``-bit frame in ``bits``, or None. A later sync word has even
+    fewer bits after it, so None means wait for more bits."""
+    idx = bits.find(SYNC_WORD, pos)
+    if idx < 0 or idx + length > len(bits):
+        return None
+    return idx
 
 
-def decode_ack(bits: str) -> int:
-    if len(bits) < ACK_BITS:
-        raise TruncatedFrameError(f"need {ACK_BITS} bits, got {len(bits)}")
-    if bits[:8] != SYNC_WORD:
-        raise SyncMismatchError("ack does not start with the sync word")
-    body = bytes_of_bits(bits[8:16])
-    if crc16(body) != int(bits[16:32], 2):
-        raise CrcFailureError("ack checksum mismatch")
-    return body[0]
+def scan_ack(bits: str, times: Sequence[int], seq: int) -> tuple[int | None, int]:
+    """(time the first valid ack for ``seq`` completed or None, number of
+    acks that failed their CRC before it)."""
+    corrupt = 0
+    idx = -1
+    while (idx := next_frame(bits, idx + 1, ACK_BITS)) is not None:
+        try:
+            if decode_frame(bits[idx:idx + ACK_BITS], ACK_BITS)[0] == seq:
+                return times[idx + ACK_BITS - 1], corrupt
+        except CrcFailureError:
+            corrupt += 1
+    return None, corrupt
 
 
 @dataclass(frozen=True)
 class LinkConfig:
     bit_time_us: int
-    ack_timeout_us: int | None = None      # from frame tx start; default 2*(96+32) bits
     max_retries: int | None = 10           # None = retry forever
-    pad_byte: int = 0x00
-    turnaround_bits: int = 1               # receiver decode -> ack start
-    interframe_bits: int = 1               # ack received -> next frame start
 
     def __post_init__(self):
         if self.bit_time_us <= 0:
             raise DomainError("bit_time_us must be > 0")
-        if self.timeout_us <= (FRAME_BITS + ACK_BITS) * self.bit_time_us:
-            raise DomainError("ack_timeout must exceed one full frame+ack exchange")
 
     @property
     def timeout_us(self) -> int:
-        if self.ack_timeout_us is not None:
-            return self.ack_timeout_us
+        """Ack timeout, from frame tx start: two full frame+ack exchanges."""
         return 2 * (FRAME_BITS + ACK_BITS) * self.bit_time_us
 
 
-def pad_payload(payload: bytes, pad_byte: int = 0x00) -> bytes:
+def pad_payload(payload: bytes) -> bytes:
     rem = len(payload) % PAYLOAD_BYTES
     if rem:
-        payload = payload + bytes([pad_byte]) * (PAYLOAD_BYTES - rem)
+        payload = payload + bytes(PAYLOAD_BYTES - rem)
     return payload
 
 
@@ -141,10 +141,13 @@ def pad_payload(payload: bytes, pad_byte: int = 0x00) -> bytes:
 class TransferStats:
     packets_sent: int = 0            # frame transmissions, retries included
     packets_delivered: int = 0
-    retransmissions: int = 0
     acks_corrupted: int = 0
     bytes_delivered: int = 0
     wall_time_us: int = 0
+
+    @property
+    def retransmissions(self) -> int:
+        return self.packets_sent - self.packets_delivered
 
     @property
     def effective_goodput_bps(self) -> float:
@@ -175,8 +178,7 @@ class ArqReceiver:
     duplicate means the previous ack was lost).
     """
 
-    def __init__(self, sync_word: str = SYNC_WORD):
-        self._sync = sync_word
+    def __init__(self):
         self._bits = ""
         self._times: list[int] = []
         self._scan = 0
@@ -185,83 +187,22 @@ class ArqReceiver:
 
     def feed(self, bits: str, times: Sequence[int] | None = None) -> list[tuple[int, int]]:
         """Returns ack requests as (seq, decided_time_us)."""
-        if times is None:
-            times = [0] * len(bits)
         self._bits += bits
-        self._times.extend(int(t) for t in times)
-        body_bits = FRAME_BITS - len(self._sync)
+        self._times.extend([0] * len(bits) if times is None else times)
         acks: list[tuple[int, int]] = []
-        while True:
-            idx = self._bits.find(self._sync, self._scan)
-            if idx < 0:
-                # everything up to a possible partial sync at the end is dead
-                self._scan = max(0, len(self._bits) - len(self._sync) + 1)
-                self._trim(self._scan)
-                break
-            start = idx + len(self._sync)
-            if len(self._bits) - start < body_bits:
-                self._trim(idx)  # wait for the rest of the frame
-                break
-            frame = self._bits[idx: idx + FRAME_BITS]
+        while (idx := next_frame(self._bits, self._scan, FRAME_BITS)) is not None:
             try:
-                seq, payload = decode_frame(frame)
-            except FrameError:
+                seq, payload = decode_frame(self._bits[idx:idx + FRAME_BITS])
+            except CrcFailureError:
                 self._scan = idx + 1
                 continue
-            decided = self._times[idx + FRAME_BITS - 1]
             if seq == self.expected_seq:
                 self.data.extend(payload)
                 self.expected_seq = (self.expected_seq + 1) % 256
             # duplicate (or stray) frames are re-acked without delivering
-            acks.append((seq, decided))
-            self._trim(idx + FRAME_BITS)
+            acks.append((seq, self._times[idx + FRAME_BITS - 1]))
+            self._scan = idx + FRAME_BITS
         return acks
-
-    def _trim(self, upto: int):
-        if upto > 0:
-            self._bits = self._bits[upto:]
-            del self._times[:upto]
-        self._scan = 0
-
-
-class AckScanner:
-    """Sender-side scan of one listening window for a valid matching ack."""
-
-    def __init__(self, expect_seq: int, sync_word: str = SYNC_WORD):
-        self._sync = sync_word
-        self._expect = expect_seq
-        self._bits = ""
-        self._times: list[int] = []
-        self._scan = 0
-        self.corrupt_seen = 0
-
-    def feed(self, bits: str, times: Sequence[int] | None = None) -> int | None:
-        """Returns the time the expected ack completed, or None so far."""
-        if times is None:
-            times = [0] * len(bits)
-        self._bits += bits
-        self._times.extend(int(t) for t in times)
-        body_bits = ACK_BITS - len(self._sync)
-        while True:
-            idx = self._bits.find(self._sync, self._scan)
-            if idx < 0:
-                self._scan = max(0, len(self._bits) - len(self._sync) + 1)
-                return None
-            if len(self._bits) - idx - len(self._sync) < body_bits:
-                self._scan = idx
-                return None
-            try:
-                seq = decode_ack(self._bits[idx: idx + ACK_BITS])
-            except CrcFailureError:
-                self.corrupt_seen += 1
-                self._scan = idx + 1
-                continue
-            except FrameError:
-                self._scan = idx + 1
-                continue
-            if seq == self._expect:
-                return self._times[idx + ACK_BITS - 1]
-            self._scan = idx + 1
 
 
 class ArqSender:
@@ -306,15 +247,11 @@ class ArqSender:
     def timed_out(self):
         retries = self._cfg.max_retries
         if retries is not None and self._attempt > retries:
-            self.stats.retransmissions = (self.stats.packets_sent
-                                          - self.stats.packets_delivered)
             raise TransferFailed(
                 f"frame seq={self.current_seq} undelivered after "
                 f"{self._attempt} attempts", self.stats)
 
     def finalize(self, wall_time_us: int) -> TransferStats:
-        self.stats.retransmissions = (self.stats.packets_sent
-                                      - self.stats.packets_delivered)
         self.stats.wall_time_us = wall_time_us
         return self.stats
 
@@ -334,7 +271,7 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             raise DomainError("modem bit time must match the link bit time")
     bit = link_cfg.bit_time_us
     sender = ArqSender(payload, link_cfg)
-    receiver = ArqReceiver(data_cfg.sync_word)
+    receiver = ArqReceiver()
     rx_asm = StreamAssembler(data_cfg)
     rx_fed = 0
     rx_pos = 0
@@ -379,8 +316,8 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             seq, decided = ack_plan
             # the receive side stops sampling to transmit the ack
             sim.truncate_core_after(sim.receiver.sampling_core, decided)
-            ack_start = decided + link_cfg.turnaround_bits * bit
-            ack_bits = encode_ack(seq)
+            ack_start = decided + bit  # one-bit turnaround to the ack
+            ack_bits = encode_frame(seq)
             nominal_ack_end = ack_start + len(ack_bits) * bit
             if nominal_ack_end < sim.horizon_us:
                 ack_sched = modulate(ack_bits, ack_cfg, start_us=ack_start)
@@ -395,7 +332,6 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             rx_pos = max(rx_pos, min(rx_resume, sim.horizon_us))
 
         # sender listens for the ack until the timeout
-        scanner = AckScanner(sender.current_seq, ack_cfg.sync_word)
         ack_time = None
         if listen_start < deadline:
             series = sim.sample_frequency(sim.sender, ack_cfg.window_us,
@@ -404,14 +340,15 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             s_asm.feed(classify_array(series, ack_cfg.threshold),
                        series.end_times())
             s_asm.end_segment(deadline)
-            ack_time = scanner.feed("".join(s_asm.bits), s_asm.bit_times)
-        sender.stats.acks_corrupted += scanner.corrupt_seen
+            ack_time, corrupt = scan_ack("".join(s_asm.bits), s_asm.bit_times,
+                                         sender.current_seq)
+            sender.stats.acks_corrupted += corrupt
 
         if ack_time is not None:
             sim.truncate_core_after(sim.sender.sampling_core, ack_time)
             sender.ack_received()
             last_ack_us = ack_time
-            t = ack_time + link_cfg.interframe_bits * bit
+            t = ack_time + bit  # one-bit gap to the next frame
         else:
             try:
                 sender.timed_out()
@@ -423,13 +360,4 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
 
     stats = sender.finalize((last_ack_us - t0) if last_ack_us else 0)
     return stats, bytes(receiver.data)
-
-
-def send_reliable(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
-                  data_cfg: ModemConfig, ack_cfg: ModemConfig) -> TransferStats:
-    """Transfer a padded payload; raises TransferFailed when retries run out."""
-    stats, data = run_transfer(sim, payload, link_cfg, data_cfg, ack_cfg)
-    if data != payload:
-        raise TransferFailed("delivered payload does not match", stats, data)
-    return stats
 

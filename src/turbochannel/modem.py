@@ -17,8 +17,6 @@ import numpy as np
 from .phy import SampleSeries, TxSchedule
 from .turbo import DomainError, TurboPolicy
 
-SYNC_WORD = "10101100"
-
 HIGH = True   # count above threshold: few cores awake, transmitted 0
 LOW = False   # count at/below threshold: marking cores awake, transmitted 1
 
@@ -29,7 +27,6 @@ class ModemConfig:
     threshold: float
     oversampling: int = 8
     glitch_max: int | None = None   # None: 2, shrunk to fit low oversampling
-    sync_word: str = SYNC_WORD
 
     def __post_init__(self):
         if self.oversampling < 3:
@@ -43,8 +40,6 @@ class ModemConfig:
             raise DomainError("bit_time_us must be a multiple of oversampling")
         if self.window_us < 1:
             raise DomainError("sampling window must be at least 1 us")
-        if not self.sync_word or set(self.sync_word) - {"0", "1"}:
-            raise DomainError("sync_word must be a non-empty bit string")
 
     @property
     def window_us(self) -> int:
@@ -204,12 +199,6 @@ def demodulate(stream: BinarySampleStream, cfg: ModemConfig) -> str:
         count = max(1, _round_half_up(n, cfg.oversampling))
         bits.append(("0" if v == HIGH else "1") * count)
     return "".join(bits)
-
-
-def find_sync(bits: str, sync_word: str = SYNC_WORD) -> int | None:
-    """Index just past the first occurrence of the sync word, or None."""
-    i = bits.find(sync_word)
-    return None if i < 0 else i + len(sync_word)
 
 
 class StreamAssembler:

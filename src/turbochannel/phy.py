@@ -46,10 +46,6 @@ class TxSchedule:
                 raise DomainError("schedule entries must be sorted and disjoint")
             prev_end = e
 
-    def shifted(self, offset_us: int) -> "TxSchedule":
-        return TxSchedule(tuple((s + offset_us, e + offset_us) for s, e in self.entries),
-                          self.tx_cores)
-
     @property
     def end_us(self) -> int:
         return self.entries[-1][1] if self.entries else 0

@@ -13,6 +13,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -83,6 +84,13 @@ class TurboPolicy:
 
     def frequency_of_level(self, index: int) -> int:
         return self.levels[index][1]
+
+    @cached_property
+    def count_frequencies(self) -> np.ndarray:
+        """Read-only table: entry k is the frequency with k cores active."""
+        table = np.array([turbo_frequency(self, k) for k in range(self.core_count + 1)])
+        table.flags.writeable = False
+        return table
 
 
 def turbo_frequency(policy: TurboPolicy, active_count: int) -> int:
@@ -331,8 +339,7 @@ def pcu_walk(policy: TurboPolicy, times: np.ndarray, counts: np.ndarray,
     if len(active):
         if not 0 <= active.min() <= active.max() <= policy.core_count:
             raise DomainError(f"active count outside [0, {policy.core_count}]")
-        table = np.array([turbo_frequency(policy, k) for k in range(policy.core_count + 1)])
-        targets = table[active]
+        targets = policy.count_frequencies[active]
         # only a tick whose target differs from the tick before can act
         change = np.concatenate(([True], targets[1:] != targets[:-1]))
         events = zip(ticks[change].tolist(), targets[change].tolist())

@@ -12,8 +12,8 @@ from turbochannel.fec import (FecModel, PacketOutcome, attempts_needed,
                               estimate_goodput, rs_correctable)
 from turbochannel.harness import (Scenario, emit_csv, noise_change_histogram,
                                   run_scenario)
-from turbochannel.link import (ArqReceiver, ArqSender, AckScanner, LinkConfig,
-                               crc16, encode_ack, pad_payload)
+from turbochannel.link import (ArqReceiver, ArqSender, LinkConfig, crc16,
+                               encode_frame, pad_payload, scan_ack)
 from turbochannel.modem import (HIGH, LOW, BinarySampleStream, ModemConfig,
                                 StreamAssembler, classify_array, demodulate,
                                 default_threshold, modulate, reject_glitches)
@@ -165,8 +165,8 @@ def test_c05_arq_exactly_once():
                 assert guard < 50_000
                 sender.begin_attempt()
                 acks = receiver.feed(channel.send(sender.frame_bits()))
-                scanner = AckScanner(sender.current_seq)
-                ok = any(scanner.feed(channel.send(encode_ack(seq))) is not None
+                ok = any(scan_ack(bits := channel.send(encode_frame(seq)),
+                                  range(len(bits)), sender.current_seq)[0] is not None
                          for seq, _ in acks)
                 if ok:
                     sender.ack_received()

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turbochannel.harness import Scenario, build_simulation
-from turbochannel.link import (ACK_BITS, FRAME_BITS, ArqReceiver, ArqSender,
-                               AckScanner, CrcFailureError, LinkConfig,
+from turbochannel.link import (ACK_BITS, FRAME_BITS, SYNC_WORD, ArqReceiver,
+                               ArqSender, CrcFailureError, LinkConfig,
                                SyncMismatchError, TransferFailed,
-                               TruncatedFrameError, crc16,
-                               decode_ack, decode_frame, encode_ack,
-                               encode_frame, pad_payload, run_transfer)
+                               TruncatedFrameError, crc16, decode_frame,
+                               encode_frame, next_frame, pad_payload,
+                               run_transfer, scan_ack)
 from turbochannel.turbo import DomainError, builtin_policy
 
 XEON = builtin_policy("xeon-silver-4108")
@@ -29,6 +29,10 @@ def crc16_reference(data: bytes) -> int:
         if work >> (shift + 16) & 1:
             work ^= poly << shift
     return work & 0xFFFF
+
+
+def _flip(bits: str, pos: int) -> str:
+    return bits[:pos] + ("1" if bits[pos] == "0" else "0") + bits[pos + 1:]
 
 
 class TestCrc16:
@@ -88,6 +92,8 @@ class TestFrameCodec:
     def test_payload_length_enforced(self):
         with pytest.raises(DomainError):
             encode_frame(0, bytes(7))
+        with pytest.raises(DomainError):
+            encode_frame(256)
 
     def test_truncated(self):
         with pytest.raises(TruncatedFrameError):
@@ -108,19 +114,49 @@ class TestFrameCodec:
                 decode_frame(corrupt)
 
     def test_ack_round_trip(self):
-        bits = encode_ack(200)
+        bits = encode_frame(200)
         assert len(bits) == ACK_BITS
-        assert decode_ack(bits) == 200
+        assert decode_frame(bits, ACK_BITS) == (200, b"")
+        assert bits == SYNC_WORD + format(200, "08b") + format(crc16(bytes([200])), "016b")
+
+    def test_ack_flip_fails_crc(self):
+        bits = encode_frame(7)
+        for pos in range(8, ACK_BITS):
+            with pytest.raises(CrcFailureError):
+                decode_frame(_flip(bits, pos), ACK_BITS)
+
+
+class TestNextFrame:
+    def test_at_start(self):
+        assert next_frame("10101100111", 0, 11) == 0
+
+    def test_skips_leading_noise(self):
+        assert next_frame("1110101100" + "0" * 8, 0, 16) == 2
+
+    def test_not_found(self):
+        assert next_frame("0000000000", 0, 8) is None
+
+    def test_waits_for_the_whole_frame(self):
+        bits = "1" + encode_frame(3)
+        assert next_frame(bits, 0, ACK_BITS) == 1
+        assert next_frame(bits[:-1], 0, ACK_BITS) is None
+        assert next_frame(bits, 2, ACK_BITS) is None
+
+
+class TestScanAck:
+    def test_skips_corrupt_and_foreign_acks(self):
+        corrupt = _flip(encode_frame(5), ACK_BITS - 1)
+        bits = corrupt + "000" + encode_frame(4) + encode_frame(5) + "0000"
+        times = range(1_000, 1_000 + len(bits))
+        assert scan_ack(bits, times, 5) == (times[3 * ACK_BITS + 3 - 1], 1)
+        assert scan_ack(bits, times, 6) == (None, 1)
+        assert scan_ack(bits[:-5], times, 5) == (None, 1)
 
 
 class TestLinkConfig:
     def test_default_timeout(self):
         cfg = LinkConfig(bit_time_us=7_000)
         assert cfg.timeout_us == 2 * (FRAME_BITS + ACK_BITS) * 7_000
-
-    def test_timeout_must_cover_exchange(self):
-        with pytest.raises(DomainError):
-            LinkConfig(bit_time_us=7_000, ack_timeout_us=128 * 7_000)
 
     def test_padding(self):
         assert pad_payload(b"abc") == b"abc" + bytes(5)
@@ -156,18 +192,33 @@ def drive_arq(payload: bytes, p_corrupt: float, seed: int,
         sender.begin_attempt()
         acks = receiver.feed(channel.send(sender.frame_bits()))
         got_ack = False
-        if acks:
-            scanner = AckScanner(sender.current_seq)
-            for seq, _ in acks:
-                if scanner.feed(channel.send(encode_ack(seq))) is not None:
-                    got_ack = True
-            sender.stats.acks_corrupted += scanner.corrupt_seen
+        for seq, _ in acks:
+            bits = channel.send(encode_frame(seq))
+            ack_time, corrupt = scan_ack(bits, range(len(bits)), sender.current_seq)
+            got_ack |= ack_time is not None
+            sender.stats.acks_corrupted += corrupt
         if got_ack:
             sender.ack_received()
         else:
             sender.timed_out()
     sender.finalize(1)
     return sender, bytes(receiver.data)
+
+
+# a receiver's input: valid frames (in order, duplicated or out of order),
+# frames with a bit flipped after the sync word, stray acks, cut-off frames
+# and junk bits
+_seq = st.integers(0, 3)
+_payload = st.binary(min_size=8, max_size=8)
+stream_piece = st.one_of(
+    st.builds(encode_frame, _seq, _payload),
+    st.builds(lambda q, p, i: _flip(encode_frame(q, p), i),
+              _seq, _payload, st.integers(8, FRAME_BITS - 1)),
+    st.builds(encode_frame, _seq),
+    st.builds(lambda q, p, n: encode_frame(q, p)[:n],
+              _seq, _payload, st.integers(1, FRAME_BITS - 1)),
+    st.text(alphabet="01", max_size=24),
+)
 
 
 class TestArqStateMachines:
@@ -259,6 +310,26 @@ class TestArqStateMachines:
         sender, delivered = drive_arq(payload, 0.3, seed=seed)
         assert delivered == payload
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(stream_piece, max_size=12).map("".join), st.data())
+    def test_split_feeds_match_one_feed(self, stream, data):
+        whole = ArqReceiver()
+        expected = whole.feed(stream, range(len(stream)))
+        # cut anywhere, and often inside a sync word
+        inside_sync = [i + k for i in range(len(stream))
+                       if stream.startswith(SYNC_WORD, i) for k in range(1, 8)]
+        cut = st.integers(0, len(stream))
+        if inside_sync:
+            cut |= st.sampled_from(inside_sync)
+        cuts = sorted(data.draw(st.lists(cut, max_size=8)))
+        split = ArqReceiver()
+        acks = []
+        for a, b in zip([0, *cuts], [*cuts, len(stream)]):
+            acks += split.feed(stream[a:b], range(a, b))
+        assert acks == expected
+        assert split.data == whole.data
+        assert split.expected_seq == whole.expected_seq
+
 
 def quiet_scenario(**kw):
     kw.setdefault("name", "quiet")
@@ -304,12 +375,12 @@ class TestSimulatedTransfer:
         assert data == payload
 
     def test_send_and_recv_views(self):
-        from turbochannel.link import send_reliable
         s = quiet_scenario(payload_bytes=16)
         payload = pad_payload(bytes(range(16)))
         sim, link_cfg, data_cfg, ack_cfg = build_simulation(s, 7_000, 2)
-        stats = send_reliable(sim, payload, link_cfg, data_cfg, ack_cfg)
+        stats, data = run_transfer(sim, payload, link_cfg, data_cfg, ack_cfg)
         assert stats.bytes_delivered == 16
+        assert data == payload
 
     def test_failed_transfer_carries_partial_stats(self):
         s = quiet_scenario(payload_bytes=16, countermeasure="turbo-off",

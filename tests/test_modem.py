@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from turbochannel.modem import (HIGH, LOW, BinarySampleStream, ModemConfig,
                                 StreamAssembler, classify, default_threshold,
-                                demodulate, find_sync, modulate,
-                                reject_glitches)
+                                demodulate, modulate, reject_glitches)
 from turbochannel.phy import SampleSeries, SimulatedChannel
 from turbochannel.turbo import DomainError, builtin_policy
 
@@ -149,17 +148,6 @@ class TestDemodulate:
                            for i, n in enumerate(runs))
             out = demodulate(stream_of(text), CFG8)
             assert len(out) == len(text) // 8
-
-
-class TestFindSync:
-    def test_at_start(self):
-        assert find_sync("10101100111") == 8
-
-    def test_skips_leading_noise(self):
-        assert find_sync("1110101100" + "0" * 8) == 10
-
-    def test_not_found(self):
-        assert find_sync("0000000000") is None
 
 
 def perfect_stream(bits, oversampling):

@@ -38,6 +38,13 @@ class TestTurboFrequency:
         freqs = [turbo_frequency(XEON, n) for n in range(XEON.core_count + 1)]
         assert all(a >= b for a, b in zip(freqs, freqs[1:]))
 
+    def test_count_table_is_built_once_and_read_only(self):
+        table = XEON.count_frequencies
+        assert table.tolist() == [turbo_frequency(XEON, n) for n in range(9)]
+        assert XEON.count_frequencies is table
+        with pytest.raises(ValueError):
+            table[0] = 0
+
     def test_count_above_core_count_rejected(self):
         with pytest.raises(DomainError):
             turbo_frequency(XEON, 9)
