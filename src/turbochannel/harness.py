@@ -7,6 +7,7 @@ rerunning a scenario produces byte-identical CSV.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -135,6 +136,12 @@ class Scenario:
         lo, hi = self.preempt_duration_bounds()
         if not 0 <= lo <= hi:
             raise ConfigError(f"preemption bounds must satisfy 0 <= {lo} <= {hi}")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ConfigError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
+        if not (math.isfinite(self.ops_per_cycle) and self.ops_per_cycle > 0):
+            raise ConfigError(f"ops_per_cycle must be finite and > 0, got {self.ops_per_cycle}")
         for role, rate in zip(("tx", "rx"), self.preempt_rates()):
             if not 0 <= rate <= MAX_EVENT_RATE:
                 raise ConfigError(f"{role} preemption rate must be in "

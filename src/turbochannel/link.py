@@ -123,6 +123,8 @@ class LinkConfig:
     def __post_init__(self):
         if self.bit_time_us <= 0:
             raise DomainError("bit_time_us must be > 0")
+        if self.max_retries is not None and self.max_retries < 0:
+            raise DomainError("max_retries must be >= 0 or None")
 
     @property
     def timeout_us(self) -> int:

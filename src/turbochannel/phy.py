@@ -9,6 +9,7 @@ the counting-loop sampler.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseBlock,
-                    NoiseProfile, TurboPolicy, _by_core, _coalesce,
-                    _poisson_events, noise_stream, pcu_walk, step_function)
+from .turbo import (DomainError, FrequencyTrace, NoiseBlock, NoiseProfile,
+                    TurboPolicy, _by_core, _coalesce, _poisson_events,
+                    noise_stream, pcu_walk, step_function)
 from .turbo import generate_noise  # noqa: F401  (perfbench wraps phy.generate_noise)
 
 MIN_WINDOW_US = 100
@@ -116,6 +117,10 @@ class SimulatedChannel:
             raise DomainError("horizon_us must be > 0")
         if tx_core_count < 1:
             raise DomainError("tx_core_count must be >= 1")
+        if not (math.isfinite(ops_per_cycle) and ops_per_cycle > 0):
+            raise DomainError("ops_per_cycle must be finite and > 0")
+        if not (math.isfinite(jitter_sigma) and jitter_sigma >= 0):
+            raise DomainError("jitter_sigma must be finite and >= 0")
         if tx_core_count + 1 > policy.core_count:
             raise DomainError("transmitter and receiver need disjoint cores")
         self.policy = policy
@@ -161,13 +166,19 @@ class SimulatedChannel:
             else:
                 ivs = self._draw_preempts(role, rate, preempt_min_us, preempt_max_us)
             self._preempts[role] = ivs
-            if len(ivs):
-                self._static[anchor[role]] = _union(self._static[anchor[role]], ivs)
+            self._static[anchor[role]] = _merge_suffix(self._static[anchor[role]], ivs)
 
-        # committed (dynamic) activity, appended as the simulation advances;
-        # kept apart from the static noise so late truncation stays possible
-        self._dynamic: list[list[tuple[int, int]]] = [[] for _ in range(policy.core_count)]
-        self._merged_cache: list[np.ndarray | None] = [None] * policy.core_count
+        # committed (dynamic) activity, kept apart from the static activity so
+        # late truncation stays possible. A commit waits in _queued until the
+        # core is read, then joins _merged (static and committed activity,
+        # coalesced) and waits in _unfolded until a truncation folds it into
+        # _committed. While a core has no commits, _merged[core] is
+        # _static[core] itself.
+        self._queued: list[list[tuple[int, int]]] = [[] for _ in range(policy.core_count)]
+        self._unfolded: list[list[np.ndarray]] = [[] for _ in range(policy.core_count)]
+        self._committed: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
+                                             for _ in range(policy.core_count)]
+        self._merged: list[np.ndarray] = list(self._static)
 
         self._jitter = {
             "sender": np.random.default_rng([seed, 1]),
@@ -185,9 +196,10 @@ class SimulatedChannel:
         return np.asarray(out, dtype=np.int64).reshape(-1, 2)
 
     def _expand_noise(self, end_us: int):
-        """Union into ``_static`` every noise interval starting before a new
-        frontier >= ``end_us``. The frontier at least doubles each time, so
-        the unions cost amortised linear time in the noise read."""
+        """Merge into ``_static`` (and ``_merged``) every noise interval
+        starting before a new frontier >= ``end_us``. The frontier at least
+        doubles each time, and each merge re-coalesces only the intervals
+        from the old frontier on and those reaching past it."""
         frontier = min(self.horizon_us,
                        max(end_us, 2 * self._frontier, self._frontier + _CHUNK_US))
         fresh: list[NoiseBlock] = []
@@ -204,8 +216,11 @@ class SimulatedChannel:
             self._pending[i] = block
         self._frontier = frontier
         for core, ivs in _by_core(fresh, self.noise_pool):
-            self._static[core] = _union(self._static[core], ivs)
-            self._merged_cache[core] = None
+            static = self._static[core]
+            self._static[core] = _merge_suffix(static, ivs)
+            merged = self._merged[core]
+            self._merged[core] = (self._static[core] if merged is static
+                                  else _merge_suffix(merged, ivs))
 
     def preempt_intervals(self, role: str) -> np.ndarray:
         return self._preempts[role]
@@ -216,26 +231,46 @@ class SimulatedChannel:
             return
         if not 0 <= start_us < end_us <= self.horizon_us:
             raise DomainError("activity outside the simulation horizon")
-        self._dynamic[core].append((start_us, end_us))
-        self._merged_cache[core] = None
+        self._queued[core].append((start_us, end_us))
 
     def truncate_core_after(self, core: int, t_us: int):
         """Clip this core's committed activity at t (the process stopped its
         current phase early); background noise is untouched."""
-        kept = []
-        for s, e in self._dynamic[core]:
-            if s >= t_us:
-                continue
-            kept.append((s, min(e, t_us)))
-        self._dynamic[core] = kept
-        self._merged_cache[core] = None
+        merged = self._core_intervals(core)
+        committed = self._committed[core]
+        if self._unfolded[core]:
+            committed = _merge_suffix(committed, np.concatenate(self._unfolded[core]))
+            self._unfolded[core] = []
+        if not len(committed) or committed[-1, 1] <= t_us:
+            self._committed[core] = committed
+            return
+        # rows starting before t stay; only the last of them can reach past t
+        n = int(np.searchsorted(committed[:, 0], t_us, side="left"))
+        committed = committed[:n].copy()
+        if n:
+            committed[-1, 1] = min(int(committed[-1, 1]), t_us)
+        self._committed[core] = committed
+        # merged intervals ending at or before t keep their rows. Every row
+        # lies inside one merged interval, so the rows from the first merged
+        # interval ending after t on rebuild the rest; committed rows there
+        # follow the kept intervals with a gap, so only static rows need merging
+        k = int(np.searchsorted(merged[:, 1], t_us, side="right"))
+        start = merged[k, 0]
+        static = self._static[core]
+        kept = np.concatenate([merged[:k],
+                               committed[int(np.searchsorted(committed[:, 0], start)):]])
+        rest = static[int(np.searchsorted(static[:, 0], start)):]
+        self._merged[core] = _merge_suffix(kept, rest)
 
     def _core_intervals(self, core: int) -> np.ndarray:
-        if self._merged_cache[core] is None:
-            dyn = np.asarray(sorted(self._dynamic[core]),
-                             dtype=np.int64).reshape(-1, 2)
-            self._merged_cache[core] = _union(self._static[core], dyn)
-        return self._merged_cache[core]
+        """Static and committed activity of a core, sorted and coalesced."""
+        queued = self._queued[core]
+        if queued:
+            rows = np.array(queued, dtype=np.int64)
+            self._merged[core] = _merge_suffix(self._merged[core], rows)
+            self._unfolded[core].append(rows)
+            self._queued[core] = []
+        return self._merged[core]
 
     # -- frequency ----------------------------------------------------------
 
@@ -294,11 +329,12 @@ class SimulatedChannel:
         return out
 
     def transmit(self, endpoint: ChannelEndpoint, schedule: TxSchedule,
-                 anchor_us: int | None = None) -> ActivityTrace:
+                 anchor_us: int | None = None) -> list[tuple[int, int]]:
         """Drive the transmit cores through a schedule and commit the activity.
 
-        Transitions are delayed by any preemption of the transmitting process;
-        the returned trace is the transmitter's contribution to the timeline.
+        Transitions are delayed by any preemption of the transmitting process.
+        Returns the committed wall-time entries, the same on every transmit
+        core.
         """
         if endpoint.role != "sender":
             raise DomainError("transmit requires a sender endpoint")
@@ -307,7 +343,7 @@ class SimulatedChannel:
         if schedule.tx_cores > len(endpoint.cores):
             raise DomainError("schedule uses more cores than the endpoint owns")
         if not schedule.entries:
-            return ActivityTrace(self.policy.core_count, self.horizon_us)
+            return []
         anchor = schedule.entries[0][0] if anchor_us is None else anchor_us
         flat = [t for entry in schedule.entries for t in entry]
         shifted = self.shift_for_preemption(flat, "sender", anchor)
@@ -318,8 +354,7 @@ class SimulatedChannel:
         for s, e in entries:
             for c in cores:
                 self.commit_core(c, s, e)
-        ivs = {c: list(entries) for c in cores}
-        return ActivityTrace(self.policy.core_count, self.horizon_us, ivs)
+        return entries
 
     def transmit_marks(self, cores: Sequence[int], entries: Sequence[tuple[int, int]],
                        role: str, anchor_us: int) -> int:
@@ -397,12 +432,17 @@ class SimulatedChannel:
         return SampleSeries(int(bounds[0]), window_us, counts, missing)
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) == 0:
-        return _coalesce(b)
-    if len(b) == 0:
-        return a
-    return _coalesce(np.concatenate([a, b]))
+def _merge_suffix(merged: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Union of coalesced ``merged`` and any ``rows``, coalesced. Intervals
+    of ``merged`` ending before the earliest row starts cannot meet a row,
+    so only the suffix from there on is re-coalesced; with no rows,
+    ``merged`` itself is returned."""
+    if len(rows) == 0:
+        return merged
+    # the first interval ending at or after the earliest start: touching merges
+    k = int(np.searchsorted(merged[:, 1], rows[:, 0].min(), side="left"))
+    suffix = _coalesce(np.concatenate([merged[k:], rows]) if k < len(merged) else rows)
+    return np.concatenate([merged[:k], suffix]) if k else suffix
 
 
 def _window_integrals(seg_t: np.ndarray, seg_f: np.ndarray,

@@ -138,19 +138,16 @@ def _coalesce(intervals: np.ndarray) -> np.ndarray:
     """Sort and merge overlapping/adjacent [start, end) rows."""
     if len(intervals) == 0:
         return intervals.reshape(0, 2)
-    order = np.argsort(intervals[:, 0], kind="stable")
-    iv = intervals[order]
+    iv = intervals[intervals[:, 0].argsort(kind="stable")]
     ends = np.maximum.accumulate(iv[:, 1])
-    # a new merged interval starts where the start exceeds every prior end
-    new_start = np.empty(len(iv), dtype=bool)
-    new_start[0] = True
-    new_start[1:] = iv[1:, 0] > ends[:-1]
-    idx = np.flatnonzero(new_start)
-    starts = iv[idx, 0]
-    stops = np.empty(len(idx), dtype=np.int64)
-    stops[:-1] = ends[idx[1:] - 1]
-    stops[-1] = ends[-1]
-    return np.column_stack([starts, stops])
+    # a merged interval ends where the next start exceeds every prior end
+    last = (iv[1:, 0] > ends[:-1]).nonzero()[0]
+    out = np.empty((len(last) + 1, 2), dtype=np.int64)
+    out[0, 0] = iv[0, 0]
+    out[1:, 0] = iv[last + 1, 0]
+    out[:-1, 1] = ends[last]
+    out[-1, 1] = ends[-1]
+    return out
 
 
 class ActivityTrace:

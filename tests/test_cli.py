@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from turbochannel.cli import main
 from turbochannel.fec import (FecModel, PacketOutcome, comparison_rows,
                               write_outcome_trace)
 from turbochannel.link import ACK_BITS, FRAME_BITS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 IDLE_CFG = """
 name = cli-idle
@@ -142,6 +146,21 @@ def test_preemption_rate_is_bounded(tmp_path, capsys, line):
     cfg.write_text(IDLE_CFG + line + "\n")
     assert main(["run", str(cfg)]) == 2
     assert "preemption rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, line, key", [
+    # -1 ran as 0 retries; -3 failed on a negative horizon estimate
+    ("turbo-off", "max_retries = -1", "max_retries"),
+    ("turbo-off", "max_retries = -3", "max_retries"),
+    # a negative or nan sigma ran without jitter
+    ("vm-guests", "jitter_sigma = -0.1", "jitter_sigma"),
+    ("vm-guests", "jitter_sigma = nan", "jitter_sigma")])
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, config, line, key):
+    cfg = tmp_path / f"{config}.cfg"
+    cfg.write_text((CONFIGS / f"{config}.cfg").read_text() + line + "\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_key_takes_the_last_value(tmp_path):

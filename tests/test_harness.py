@@ -55,6 +55,15 @@ class TestPlanning:
         with pytest.raises(ConfigError):
             scenario(constant_cores=5, tx_cores=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_retries", -1), ("jitter_sigma", -0.1), ("jitter_sigma", float("nan")),
+        ("jitter_sigma", float("inf")), ("ops_per_cycle", 0.0),
+        ("ops_per_cycle", -1.0), ("ops_per_cycle", float("nan")),
+        ("ops_per_cycle", float("inf"))])
+    def test_out_of_range_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            scenario(**{field: value})
+
 
 class TestCountFrequencyChanges:
     def test_constant_trace_empty(self):

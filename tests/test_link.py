@@ -158,6 +158,11 @@ class TestLinkConfig:
         cfg = LinkConfig(bit_time_us=7_000)
         assert cfg.timeout_us == 2 * (FRAME_BITS + ACK_BITS) * 7_000
 
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(DomainError, match="max_retries"):
+            LinkConfig(bit_time_us=7_000, max_retries=-1)
+        assert LinkConfig(bit_time_us=7_000, max_retries=None).max_retries is None
+
     def test_padding(self):
         assert pad_payload(b"abc") == b"abc" + bytes(5)
         assert pad_payload(bytes(16)) == bytes(16)

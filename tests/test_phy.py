@@ -38,15 +38,18 @@ class TestTxSchedule:
 class TestTransmit:
     def test_empty_schedule_empty_trace(self):
         sim = quiet_sim()
-        trace = sim.transmit(sim.sender, TxSchedule((), 2))
-        assert trace.total_intervals() == 0
+        assert sim.transmit(sim.sender, TxSchedule((), 2)) == []
+        assert all(len(sim._core_intervals(core)) == 0 for core in range(8))
 
     def test_marks_activate_all_tx_cores(self):
         sim = quiet_sim()
-        trace = sim.transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
-        assert trace.intervals(0) == [(0, 7_000)]
-        assert trace.intervals(1) == [(0, 7_000)]
-        assert trace.active_count_at(3_000) == 2
+        entries = sim.transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
+        assert entries == [(0, 7_000)]
+        assert sim._core_intervals(0).tolist() == [[0, 7_000]]
+        assert sim._core_intervals(1).tolist() == [[0, 7_000]]
+        active = [core for core in range(8)
+                  if any(s <= 3_000 < e for s, e in sim._core_intervals(core))]
+        assert active == [0, 1]
 
     def test_receiver_cannot_transmit(self):
         sim = quiet_sim()
@@ -61,15 +64,19 @@ class TestTransmit:
     def test_preemption_delays_transitions(self):
         # suspension of [4, 7) ms; an entry starting at 5 ms slips by 3 ms
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        trace = sim.transmit(sim.sender, TxSchedule(((5_000, 12_000),), 2),
-                             anchor_us=0)
-        assert trace.intervals(0) == [(8_000, 15_000)]
+        entries = sim.transmit(sim.sender, TxSchedule(((5_000, 12_000),), 2),
+                               anchor_us=0)
+        assert entries == [(8_000, 15_000)]
+        # the suspended core keeps running another task
+        assert sim._core_intervals(0).tolist() == [[4_000, 7_000], [8_000, 15_000]]
+        assert sim._core_intervals(1).tolist() == [[8_000, 15_000]]
 
     def test_preemption_before_anchor_ignored(self):
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        trace = sim.transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
-                             anchor_us=9_000)
-        assert trace.intervals(0) == [(10_000, 12_000)]
+        entries = sim.transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
+                               anchor_us=9_000)
+        assert entries == [(10_000, 12_000)]
+        assert sim._core_intervals(1).tolist() == [[10_000, 12_000]]
 
 
 class TestSampleFrequency:
@@ -146,6 +153,15 @@ class TestSampleFrequency:
             runs.append(series.counts.tolist())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("field, value", [
+        ("jitter_sigma", -0.1), ("jitter_sigma", float("nan")),
+        ("jitter_sigma", float("inf")), ("ops_per_cycle", 0.0),
+        ("ops_per_cycle", -1.0), ("ops_per_cycle", float("nan")),
+        ("ops_per_cycle", float("inf"))])
+    def test_out_of_range_scales_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            quiet_sim(**{field: value})
+
     def test_pinned_frequency_override(self):
         sim = SimulatedChannel(XEON, 50_000, tx_core_count=2, jitter_sigma=0.0,
                                pinned_frequency_hz=XEON.base_frequency_hz)
@@ -162,6 +178,18 @@ class TestTimelineConsistency:
         tr = sim.frequency_trace(0, 50_000)
         # one core active until 20 ms, then none: stays at top either way
         assert tr.frequency_at(10_000) == 3_000_000_000
+
+    def test_cut_through_a_preemption_and_committed_activity(self):
+        sim = quiet_sim(preempt_intervals={"sender": [(10_000, 20_000)]})
+        sim.commit_core(0, 5_000, 30_000)
+        sim.commit_core(0, 40_000, 50_000)
+        assert sim._core_intervals(0).tolist() == [[5_000, 30_000], [40_000, 50_000]]
+        sim.truncate_core_after(0, 15_000)
+        # the preempting task keeps the core running past the cut
+        assert sim._core_intervals(0).tolist() == [[5_000, 20_000]]
+        sim.commit_core(0, 25_000, 26_000)
+        sim.truncate_core_after(0, 12_000)
+        assert sim._core_intervals(0).tolist() == [[5_000, 20_000]]
 
     def test_noise_profiles_feed_the_timeline(self):
         profile = NoiseProfile("constant-load", constant_cores=4)
@@ -409,3 +437,79 @@ class TestLazyNoise:
         with pytest.raises(DomainError):
             SimulatedChannel(XEON, 1_000_000, tx_core_count=2, noise=[profile],
                              pinned_frequency_hz=pinned)
+
+
+def _union(a, b):
+    if len(a) == 0:
+        return _coalesce(b)
+    if len(b) == 0:
+        return a
+    return _coalesce(np.concatenate([a, b]))
+
+
+class _RebuiltTimeline:
+    """The timeline as it was before it was merged incrementally: each read
+    sorts a core's whole committed list and unions it with the static
+    activity, and a truncation walks the whole list."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.committed = [[] for _ in sim._static]
+
+    def commit(self, core, start, end):
+        if start < end:
+            self.committed[core].append((start, end))
+
+    def truncate(self, core, t):
+        self.committed[core] = [(s, min(e, t)) for s, e in self.committed[core] if s < t]
+
+    def intervals(self, core):
+        dyn = np.asarray(sorted(self.committed[core]), dtype=np.int64).reshape(-1, 2)
+        return _union(self.sim._static[core], dyn)
+
+
+class TestIncrementalTimeline:
+    HORIZON = 4_000_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles=st.lists(noise_profiles(), max_size=2), data=st.data())
+    def test_matches_the_whole_rebuild(self, profiles, data):
+        sim = SimulatedChannel(XEON, self.HORIZON, tx_core_count=2, noise=profiles,
+                               seed=11, sender_preempt_rate=40.0,
+                               receiver_preempt_rate=40.0)
+        ref = _RebuiltTimeline(sim)
+        cores = st.integers(0, 7)
+
+        def time_near(core):
+            # at, next to or around this core's committed and static bounds,
+            # so commits touch and overlap out of order and cuts land before,
+            # inside and after its activity; or anywhere on the horizon
+            bounds = [t for row in ref.committed[core] for t in row]
+            bounds += sim._static[core][:200].ravel().tolist()
+            near = st.builds(int.__add__, st.sampled_from(bounds),
+                             st.sampled_from([0, -1, 1]) | st.integers(-3_000, 3_000))
+            t = data.draw(near | _starts(self.HORIZON) if bounds else _starts(self.HORIZON))
+            return min(max(t, 0), self.HORIZON - 1)
+
+        for _ in range(data.draw(st.integers(1, 12))):
+            step = data.draw(st.sampled_from(["commit", "truncate", "query"]))
+            if step == "query":
+                # reaching past the frontier merges fresh noise in
+                start = data.draw(_starts(self.HORIZON))
+                sim.frequency_trace(start, min(start + data.draw(st.integers(1, 400_000)),
+                                               self.HORIZON))
+            else:
+                # queued commits meet a truncation or a read together
+                for _ in range(data.draw(st.integers(1, 4))):
+                    core = data.draw(cores)
+                    start = time_near(core)
+                    end = min(start + data.draw(_spans()), self.HORIZON)
+                    sim.commit_core(core, start, end)
+                    ref.commit(core, start, end)
+                if step == "truncate":
+                    core = data.draw(cores)
+                    t = time_near(core)
+                    sim.truncate_core_after(core, t)
+                    ref.truncate(core, t)
+            for core in range(8):
+                assert sim._core_intervals(core).tolist() == ref.intervals(core).tolist()
