@@ -1,7 +1,6 @@
 """Command-line experiment runner.
 
     turbochannel run <config>             one scenario, CSV per run + aggregates
-    turbochannel sweep <config>           same, config should list bit_times_ms
     turbochannel noise-histogram <config> background-dip histogram CSV
     turbochannel fec-analyze <trace>      strategy comparison for a packet trace
 
@@ -50,14 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for cmd in ("run", "sweep"):
-        p = sub.add_parser(cmd, help=f"{cmd} a scenario config")
-        p.add_argument("config", type=Path)
-        _add_common(p)
-        p.add_argument("--seed", type=int, default=None,
-                       help="run a single seed instead of the configured list")
-        p.add_argument("--strict", action="store_true",
-                       help="exit nonzero when any transfer fails")
+    p = sub.add_parser("run", help="run a scenario config")
+    p.add_argument("config", type=Path)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="run a single seed instead of the configured list")
+    p.add_argument("--strict", action="store_true",
+                   help="exit nonzero when any transfer fails")
 
     p = sub.add_parser("noise-histogram", help="background frequency-dip histogram")
     p.add_argument("config", type=Path)
@@ -148,7 +146,7 @@ def _cmd_fec_analyze(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "sweep"):
+        if args.command == "run":
             return _cmd_run(args)
         if args.command == "noise-histogram":
             return _cmd_noise_histogram(args)

@@ -316,9 +316,7 @@ def count_frequency_changes(trace: FrequencyTrace) -> dict[int, int]:
     top = trace.max_frequency()
     hist: dict[int, int] = {}
     dip_start = None
-    segs = trace.segments
-    for i, (start, freq) in enumerate(segs):
-        end = segs[i + 1][0] if i + 1 < len(segs) else trace.horizon_us
+    for start, freq in trace.segments.tolist():
         if freq < top and dip_start is None:
             dip_start = start
         elif freq == top and dip_start is not None:

@@ -57,14 +57,6 @@ class FrameError(Exception):
     pass
 
 
-class TruncatedFrameError(FrameError):
-    pass
-
-
-class SyncMismatchError(FrameError):
-    pass
-
-
 class CrcFailureError(FrameError):
     pass
 
@@ -82,9 +74,9 @@ def encode_frame(seq: int, payload: bytes = b"") -> str:
 def decode_frame(bits: str, length: int = FRAME_BITS) -> tuple[int, bytes]:
     """(seq, payload) of the ``length``-bit frame at the start of ``bits``."""
     if len(bits) < length:
-        raise TruncatedFrameError(f"need {length} bits, got {len(bits)}")
+        raise FrameError(f"need {length} bits, got {len(bits)}")
     if not bits.startswith(SYNC_WORD):
-        raise SyncMismatchError("frame does not start with the sync word")
+        raise FrameError("frame does not start with the sync word")
     body = bytes_of_bits(bits[len(SYNC_WORD):length - 16])
     if crc16(body) != int(bits[length - 16:length], 2):
         raise CrcFailureError("frame checksum mismatch")

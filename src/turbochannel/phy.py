@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +23,9 @@ from .turbo import generate_noise  # noqa: F401  (perfbench wraps phy.generate_n
 
 MIN_WINDOW_US = 100
 
-# integrate in ~1s chunks so cumulative Hz*us sums stay exactly representable
-_CHUNK_US = 1 << 20
+# a noise expansion moves the frontier on by at least this much (about 1 s),
+# so that queries just past the frontier do not each expand noise
+_MIN_FRONTIER_STEP_US = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class SimulatedChannel:
         doubles each time, and each merge re-coalesces only the intervals
         from the old frontier on and those reaching past it."""
         frontier = min(self.horizon_us,
-                       max(end_us, 2 * self._frontier, self._frontier + _CHUNK_US))
+                       max(end_us, 2 * self._frontier, self._frontier + _MIN_FRONTIER_STEP_US))
         fresh: list[NoiseBlock] = []
         for i, stream in enumerate(self._noise):
             block = self._pending[i] or next(stream, None)
@@ -302,9 +301,11 @@ class SimulatedChannel:
             if exact_from is not None and exact_from <= start_us:
                 break
             lookback *= 2
-        # the walk starts at t0 <= start_us: keep the segment holding start_us on
-        i = bisect(segments, start_us, key=itemgetter(0)) - 1
-        return FrequencyTrace([(start_us, segments[i][1])] + segments[i + 1:], end_us)
+        # the walk starts at t0 <= start_us: keep the segment holding start_us
+        # on, and start it there (the walk's array is this trace's own)
+        segments = segments[segments[:, 0].searchsorted(start_us, side="right") - 1:]
+        segments[0, 0] = start_us
+        return FrequencyTrace(segments, end_us)
 
     # -- backend operations ---------------------------------------------------
 
@@ -402,7 +403,7 @@ class SimulatedChannel:
         bounds = first + window_us * np.arange(n + 1, dtype=np.int64)
 
         t0, t1 = int(bounds[0]), int(bounds[-1])
-        seg_t, seg_f = self.frequency_trace(t0, t1).boundaries()
+        seg_t, seg_f = self.frequency_trace(t0, t1).segments.T
         # the loop runs at frequency * (1 - depth), where depth counts the
         # suspensions in force; suspensions are sorted by start, and their
         # ends only by prefix maximum, since one may end inside another
@@ -447,31 +448,14 @@ def _merge_suffix(merged: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _window_integrals(seg_t: np.ndarray, seg_f: np.ndarray,
                       bounds: np.ndarray) -> np.ndarray:
-    """Integral of a piecewise-constant frequency between consecutive bounds,
-    chunked so cumulative sums stay exactly representable in float64."""
-    out = np.zeros(len(bounds) - 1, dtype=np.float64)
-    start = int(bounds[0])
-    end = int(bounds[-1])
-    fbounds = bounds.astype(np.float64)
-    chunk_lo = start
-    while chunk_lo < end:
-        chunk_hi = min(chunk_lo + _CHUNK_US, end)
-        t, cum = _cumulative(seg_t, seg_f, chunk_lo, chunk_hi)
-        clipped = np.clip(fbounds, float(chunk_lo), float(chunk_hi))
-        out += np.diff(np.interp(clipped, t, cum))
-        chunk_lo = chunk_hi
-    return out
+    """Integral (Hz*us) of a piecewise-constant frequency between consecutive
+    bounds, in exact int64; ``seg_t[0]`` may not lie after ``bounds[0]``.
 
-
-def _cumulative(seg_t: np.ndarray, seg_f: np.ndarray,
-                lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral (relative to ``lo``) of the trace on [lo, hi]."""
-    i0 = int(np.searchsorted(seg_t, lo, side="right")) - 1
-    i1 = int(np.searchsorted(seg_t, hi, side="left"))
-    t = seg_t[i0:i1].astype(np.float64).copy()
-    f = seg_f[i0:i1].astype(np.float64)
-    t[0] = float(lo)
-    t = np.append(t, float(hi))
-    cum = np.concatenate([[0.0], np.cumsum(f * np.diff(t))])
-    return t, cum
-
+    The cumulative integral at each bound may pass 2**63 on a long span, and
+    int64 array arithmetic then wraps silently. Sums, products and
+    differences all wrap alike, so each window's integral is still exact
+    while it fits in int64 itself.
+    """
+    i = np.searchsorted(seg_t, bounds, side="right") - 1
+    cum = np.append(0, np.cumsum(seg_f[:-1] * np.diff(seg_t)))
+    return np.diff(cum[i] + seg_f[i] * (bounds - seg_t[i]))

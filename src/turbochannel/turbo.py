@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat, starmap
@@ -252,29 +251,33 @@ def merge(traces: Sequence[ActivityTrace]) -> ActivityTrace:
 class FrequencyTrace:
     """Piecewise-constant effective turbo frequency over [0, horizon).
 
-    ``segments`` is a sorted list of (start_us, frequency_hz); each segment
-    runs until the next start (the last until the horizon).
+    ``segments`` is an (n, 2) int64 array of (start_us, frequency_hz) rows,
+    sorted by start; each segment runs until the next start (the last until
+    the horizon). It is stored column-major, so ``segments.T`` unpacks into
+    contiguous ``times, freqs`` arrays.
     """
 
-    segments: list[tuple[int, int]]
+    segments: np.ndarray
     horizon_us: int
+
+    def __post_init__(self):
+        self.segments = np.asfortranarray(self.segments, dtype=np.int64)
 
     def frequency_at(self, t_us: int) -> int:
         if not 0 <= t_us < self.horizon_us:
             raise DomainError(f"time {t_us} outside [0, {self.horizon_us})")
+        times, freqs = self.segments.T
         # the first segment also holds before its start
-        return self.segments[bisect(self.segments, t_us, 1, key=itemgetter(0)) - 1][1]
-
-    def boundaries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, freqs) arrays; freqs[i] holds on [times[i], times[i+1])."""
-        times = np.fromiter((s for s, _ in self.segments), dtype=np.int64,
-                            count=len(self.segments))
-        freqs = np.fromiter((f for _, f in self.segments), dtype=np.int64,
-                            count=len(self.segments))
-        return times, freqs
+        return int(freqs[np.searchsorted(times[1:], t_us, side="right")])
 
     def max_frequency(self) -> int:
-        return max(f for _, f in self.segments)
+        return int(self.segments[:, 1].max())
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTrace):
+            return NotImplemented
+        return (self.horizon_us == other.horizon_us
+                and np.array_equal(self.segments, other.segments))
 
 
 def step_function(starts: np.ndarray, ends: np.ndarray,
@@ -297,14 +300,14 @@ def step_function(starts: np.ndarray, ends: np.ndarray,
 
 
 def pcu_walk(policy: TurboPolicy, times: np.ndarray, counts: np.ndarray,
-             end_us: int) -> tuple[list[tuple[int, int]], int | None]:
+             end_us: int) -> tuple[np.ndarray, int | None]:
     """Run the power-control unit over an active-count step function.
 
     ``counts[i]`` cores are active on [times[i], times[i+1]) (the last count
     until ``end_us``); ``times`` ascends and the walk starts at ``times[0]``.
-    Returns the effective frequency as sorted (start_us, hz) segments, the
-    first at ``times[0]``, with no two neighbours at the same frequency, and
-    the time from which they are exact (see below).
+    Returns the effective frequency as (start_us, hz) segments (see
+    ``FrequencyTrace``), the first at ``times[0]``, with no two neighbours at
+    the same frequency, and the time from which they are exact (see below).
 
     - The PCU samples the active count at every absolute tick k*pcu_period
       and targets the level frequency for that count.
@@ -324,69 +327,53 @@ def pcu_walk(policy: TurboPolicy, times: np.ndarray, counts: np.ndarray,
     frequency until a tick decides at or below the walk's frequency or one
     of its ramps fires, and either puts the true PCU into the walk's state.
     That time is returned, or None if the walk never reaches it.
+
+    Only a tick whose target differs from the tick before decides anything,
+    so a pending ramp is always the last decision's. Decision i *holds* when
+    its ramp would fire by the next decision (by ``end_us`` for the last).
+    The frequency after it is its target if it holds, and the lower of the
+    frequency before and its target if not: a running minimum that restarts
+    at every holding decision. A walk from time 0 starts from the top level,
+    so its first decision acts at once; a later one from the lowest.
     """
     period = policy.pcu_period_us
+    delay = policy.recovery_delay_us
+    top = policy.levels[0][1]
     start = int(times[0])
     # a step before end_us is seen by its first tick, if that comes before it ends
-    n = int(np.searchsorted(times, end_us))
-    ticks = -(-times[:n] // period) * period
-    seen = ticks < np.concatenate((times[1:n], [end_us]))
+    n = times.searchsorted(end_us)
+    ticks = (times[:n] + (period - 1)) // period * period
+    seen = ticks < np.concatenate((times[1:n], (end_us,)))
     ticks, active = ticks[seen], counts[:n][seen]
-    events: Iterable[tuple[int, int]] = ()  # (tick_us, target_hz)
-    if len(active):
-        if not 0 <= active.min() <= active.max() <= policy.core_count:
-            raise DomainError(f"active count outside [0, {policy.core_count}]")
-        targets = policy.count_frequencies[active]
-        # only a tick whose target differs from the tick before can act
-        change = np.concatenate(([True], targets[1:] != targets[:-1]))
-        events = zip(ticks[change].tolist(), targets[change].tolist())
+    if len(active) and not 0 <= active.min() <= active.max() <= policy.core_count:
+        raise DomainError(f"active count outside [0, {policy.core_count}]")
+    targets = policy.count_frequencies[active]
+    # the slice keeps a walk that sees no tick empty
+    decides = np.concatenate(((True,), targets[1:] != targets[:-1]))[:len(targets)]
+    ticks, targets = ticks[decides], targets[decides]
 
-    segments: list[tuple[int, int]] = []
-    current = None
-    pending: tuple[int, int] | None = None  # (target_hz, fire_us)
-    from_rest = start == 0
-    exact_from = start if from_rest else None
+    holds = ticks + delay <= np.concatenate((ticks[1:], (end_us - 1,)))
+    # entry 0 of freqs (and of when) is the state the walk starts in; each
+    # run from a holding decision on is lifted clear of all before it, so the
+    # running minimum restarts there
+    lift = holds.cumsum() * top
+    freqs = np.minimum.accumulate(np.concatenate(
+        ((top if start == 0 else policy.levels[-1][1],), targets - lift)))
+    freqs[1:] += lift
+    before = freqs[:-1]
+    rises = freqs[1:] > before
+    # a fall takes effect at its tick, a rise when its ramp fires
+    when = np.concatenate(((start,), ticks + delay * rises))
+    # the walk is exact from the first decision at or below the frequency it
+    # meets, or from the first ramp that fires
+    exact = (holds | (targets <= before)).nonzero()[0]
+    exact_from = int(when[exact[0] + 1]) if len(exact) else None
 
-    def emit(t: int, f: int):
-        nonlocal current
-        if segments and segments[-1][0] == t:
-            segments[-1] = (t, f)
-            # collapse if the rewrite made it equal to its predecessor
-            if len(segments) >= 2 and segments[-2][1] == f:
-                segments.pop()
-        elif not segments or segments[-1][1] != f:
-            segments.append((t, f))
-        current = segments[-1][1]
-
-    if not from_rest:
-        emit(start, policy.levels[-1][1])
-    for tick, target in events:
-        if pending is not None and pending[1] <= tick:
-            emit(pending[1], pending[0])
-            if exact_from is None:
-                exact_from = pending[1]
-            pending = None
-        if current is None:
-            emit(tick, target)
-        elif target > current:
-            if pending is None or pending[0] != target:
-                pending = (target, tick + policy.recovery_delay_us)
-        else:
-            if target < current:
-                emit(tick, target)
-            pending = None
-            if exact_from is None:
-                exact_from = tick
-    if pending is not None and pending[1] < end_us:
-        emit(pending[1], pending[0])
-        if exact_from is None:
-            exact_from = pending[1]
-
-    if not segments:
-        return [(start, turbo_frequency(policy, 0))], exact_from
-    # the first decision's frequency holds back to the start of the walk
-    segments[0] = (start, segments[0][1])
-    return segments, exact_from
+    # the last change at each time wins, and equal neighbours merge
+    last = np.concatenate((when[1:] != when[:-1], (True,)))
+    when, freqs = when[last], freqs[last]
+    new = np.concatenate(((True,), freqs[1:] != freqs[:-1]))
+    return np.array([when[new], freqs[new]]).T, exact_from
 
 
 def apply_policy(policy: TurboPolicy, activity: ActivityTrace) -> FrequencyTrace:

@@ -38,7 +38,9 @@ def test_traced_quiet_run_reaches_every_hook():
     counts = tracer.counts
     assert counts["link.packets_sent"] == result.packets_sent > 0
     assert counts["phy.horizon_us"] > 0
-    assert counts["phy.frequency_trace.segments"] > 0
-    assert counts["phy.windows"] > 0
+    # the counts of this run, pinned so a change of the trace format cannot
+    # silently change what the tracer counts
+    assert counts["phy.frequency_trace.segments"] == 111
+    assert counts["phy.windows"] == 4173
     assert counts["modem.samples"] > 0
     assert counts["modem.bits"] > 0

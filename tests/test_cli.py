@@ -211,6 +211,15 @@ def test_fec_analyze_bit_time_converts_exactly(tmp_path):
     assert exc.value.code == 2
 
 
+def test_sweep_is_not_a_command(tmp_path):
+    # ``run`` sweeps every bit time a config lists
+    cfg = tmp_path / "idle.cfg"
+    cfg.write_text(IDLE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(cfg)])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--strict"]])
 def test_noise_histogram_rejects_run_only_flags(tmp_path, flag):
     # it always uses seeds 1..runs and runs no transfer

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from turbochannel.harness import Scenario, build_simulation
 from turbochannel.link import (ACK_BITS, FRAME_BITS, SYNC_WORD, ArqReceiver,
-                               ArqSender, CrcFailureError, LinkConfig,
-                               SyncMismatchError, TransferFailed,
-                               TruncatedFrameError, crc16, decode_frame,
+                               ArqSender, CrcFailureError, FrameError,
+                               LinkConfig, TransferFailed, crc16, decode_frame,
                                encode_frame, next_frame, pad_payload,
                                run_transfer, scan_ack)
 from turbochannel.turbo import DomainError, builtin_policy
@@ -96,12 +95,12 @@ class TestFrameCodec:
             encode_frame(256)
 
     def test_truncated(self):
-        with pytest.raises(TruncatedFrameError):
+        with pytest.raises(FrameError):
             decode_frame("10101100")
 
     def test_sync_mismatch(self):
         bits = encode_frame(1, bytes(8))
-        with pytest.raises(SyncMismatchError):
+        with pytest.raises(FrameError):
             decode_frame("0" + bits[1:])
 
     def test_any_single_flip_in_body_fails_crc(self):

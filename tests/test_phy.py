@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import random
 import weakref
 
 import numpy as np
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import noise_profiles
 
-from turbochannel.phy import SampleSeries, SimulatedChannel, TxSchedule
+from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
+                              _window_integrals)
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
                                 NoiseProfile, _coalesce, apply_policy,
                                 builtin_policy, merge, noise_stream)
 
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
+GHZ = 1_000_000_000
 
 
 def quiet_sim(**kw):
@@ -236,7 +239,7 @@ class TestWindowedWalk:
         for core, start, end in spans:
             sim.commit_core(core, start, end)
         whole = apply_policy(policy, merge([ActivityTrace(8, self.HORIZON, {core: [(s, e)]})
-                                            for core, s, e in spans])).segments
+                                            for core, s, e in spans])).segments.tolist()
         for a, length in queries:
             b = min(a + length, self.HORIZON)
             later = [(max(s, a), f) for s, f in whole if s < b]
@@ -261,7 +264,8 @@ class TestWindowedWalk:
             sim.commit_core(core, 1_000, 2_000)
         for start, end in core2:
             sim.commit_core(2, start, end)
-        assert sim.frequency_trace(query, query + 1).segments == [(query, 2_100_000_000)]
+        segments = sim.frequency_trace(query, query + 1).segments
+        assert segments.tolist() == [[query, 2_100_000_000]]
 
 
 def _per_suspension_reference(sim, series, suspensions):
@@ -269,7 +273,7 @@ def _per_suspension_reference(sim, series, suspensions):
     each suspension taking its own overlap out of every window it touches."""
     w = series.window_us
     bounds = [series.start_us + i * w for i in range(len(series) + 1)]
-    segments = sim.frequency_trace(bounds[0], bounds[-1]).segments
+    segments = sim.frequency_trace(bounds[0], bounds[-1]).segments.tolist()
     ends = [s for s, _ in segments[1:]] + [bounds[-1]]
 
     def integral(a, b):
@@ -330,6 +334,29 @@ class TestSuspendedSampling:
         assert series.start_us == 0
         assert series.counts[9:12].tolist() == [3_000_000, 0, 3_000_000]
         assert not series.missing.any()
+
+
+class TestWindowIntegrals:
+    @pytest.mark.filterwarnings("error")
+    def test_a_long_span_wraps_yet_every_window_is_exact(self):
+        # about 4,000 s at up to 4 GHz, some of it negative (a rate under
+        # overlapping suspensions): the cumulative integral passes 2**63
+        rng = random.Random(3)
+        span = 4_000_000_000
+        seg_t = [0] + sorted(rng.sample(range(1, span), 300))
+        seg_f = [rng.randint(3 * GHZ, 4 * GHZ) * (-1 if rng.random() < 0.1 else 1)
+                 for _ in seg_t]
+        bounds = sorted(rng.sample(range(span), 400))
+        ends = seg_t[1:] + [span]
+
+        def integral(a, b):
+            return sum(f * max(0, min(e, b) - max(s, a))
+                       for s, e, f in zip(seg_t, ends, seg_f))
+
+        assert integral(0, span) > 2**63
+        got = _window_integrals(np.array(seg_t), np.array(seg_f), np.array(bounds))
+        assert got.dtype == np.int64
+        assert got.tolist() == [integral(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class TestSampleSeries:

@@ -103,7 +103,7 @@ class TestApplyPolicy:
     def test_single_core_constant(self):
         act = ActivityTrace(8, 50_000, {0: [(0, 50_000)]})
         ft = apply_policy(XEON, act)
-        assert ft.segments == [(0, 3_000_000_000)]
+        assert ft.segments.tolist() == [[0, 3_000_000_000]]
 
     def test_step_up_and_down(self):
         # 3 cores awake during [10, 20) ms on top of one resident core
@@ -111,9 +111,9 @@ class TestApplyPolicy:
                                         1: [(10_000, 20_000)],
                                         2: [(10_000, 20_000)]})
         ft = apply_policy(XEON, act)
-        assert ft.segments == [(0, 3_000_000_000),
-                               (10_000, 2_700_000_000),
-                               (20_000, 3_000_000_000)]
+        assert ft.segments.tolist() == [[0, 3_000_000_000],
+                                        [10_000, 2_700_000_000],
+                                        [20_000, 3_000_000_000]]
 
     def test_slow_recovery_delays_the_rise(self):
         slow = dataclasses.replace(XEON, recovery_delay_us=400_000)
@@ -121,9 +121,9 @@ class TestApplyPolicy:
                                          1: [(10_000, 20_000)],
                                          2: [(10_000, 20_000)]})
         ft = apply_policy(slow, act)
-        assert ft.segments == [(0, 3_000_000_000),
-                               (10_000, 2_700_000_000),
-                               (420_000, 3_000_000_000)]
+        assert ft.segments.tolist() == [[0, 3_000_000_000],
+                                        [10_000, 2_700_000_000],
+                                        [420_000, 3_000_000_000]]
 
     def test_core_count_mismatch(self):
         with pytest.raises(DomainError):
@@ -134,20 +134,20 @@ class TestApplyPolicy:
                                         1: [(4_321, 9_876)],
                                         2: [(4_321, 9_876)]})
         ft = apply_policy(XEON, act)
-        assert all(start % XEON.pcu_period_us == 0 for start, _ in ft.segments)
+        assert all(start % XEON.pcu_period_us == 0 for start, _ in ft.segments.tolist())
 
     def test_sub_period_blip_between_ticks_is_missed(self):
         act = ActivityTrace(8, 10_000, {0: [(0, 10_000)],
                                         1: [(2_100, 2_900)],
                                         2: [(2_100, 2_900)]})
         ft = apply_policy(XEON, act)
-        assert ft.segments == [(0, 3_000_000_000)]
+        assert ft.segments.tolist() == [[0, 3_000_000_000]]
 
     def test_settled_interval_matches_table(self):
         # constant activity much longer than the PCU period settles exactly
         act = ActivityTrace(8, 100_000, {c: [(0, 100_000)] for c in range(5)})
         ft = apply_policy(XEON, act)
-        assert ft.segments == [(0, 2_100_000_000)]
+        assert ft.segments.tolist() == [[0, 2_100_000_000]]
 
     def test_ramp_cancelled_on_its_firing_tick_collapses(self):
         # the rise to 3 GHz decided at 1 ms fires at 2 ms, the same tick that
@@ -157,8 +157,8 @@ class TestApplyPolicy:
         act = ActivityTrace(2, 4_000, {0: [(0, 4_000)],
                                        1: [(0, 1_000), (2_000, 4_000)]})
         ft = apply_policy(policy, act)
-        assert ft.segments == [(0, 2 * GHZ)]
-        assert all(type(v) is int for seg in ft.segments for v in seg)
+        assert ft.segments.tolist() == [[0, 2 * GHZ]]
+        assert ft.segments.dtype == np.int64
 
 
 def _per_step_walk(policy, times, counts, end_us):
@@ -243,20 +243,27 @@ def step_functions(draw):
 
 
 class TestPcuWalk:
+    # with a ramp of one period, a ramp often fires on the tick of the next
+    # decision, and two changes fall on one time
     @pytest.mark.parametrize("policy", [XEON, RYZEN,
+                                        dataclasses.replace(XEON, recovery_delay_us=1_000),
                                         dataclasses.replace(XEON, recovery_delay_us=3_000)],
-                             ids=["xeon", "ryzen", "xeon-3ms-ramp"])
+                             ids=["xeon", "ryzen", "xeon-1ms-ramp", "xeon-3ms-ramp"])
     @settings(max_examples=300, deadline=None)
     @given(steps=step_functions())
     # the step at 500 us is first sampled by the tick at 1 ms, where the next
     # step starts: it is never seen
     @example(steps=([0, 500, 1_000], [1, 5, 1], 10_000))
+    # a walk from 2 ms decides on its first tick, at its start: without a
+    # ramp that decision overwrites the lowest level the walk assumed there
+    @example(steps=([2_000, 3_500], [1, 5], 6_000))
     def test_matches_the_per_step_walk(self, policy, steps):
         times, counts, end_us = steps
         segments, exact_from = pcu_walk(policy, np.array(times, dtype=np.int64),
                                         np.array(counts, dtype=np.int64), end_us)
-        assert (segments, exact_from) == _per_step_walk(policy, times, counts, end_us)
-        assert all(type(v) is int for seg in segments for v in seg)
+        assert (list(map(tuple, segments.tolist())), exact_from) == _per_step_walk(
+            policy, times, counts, end_us)
+        assert segments.dtype == np.int64
         assert exact_from is None or type(exact_from) is int
 
     @pytest.mark.parametrize("count", [-1, 9])
