@@ -163,8 +163,9 @@ def _reject_runs(runs: list[list], glitch_max: int) -> list[list]:
     return out
 
 
-def _round_half_up(numer: int, denom: int) -> int:
-    return (2 * numer + denom) // (2 * denom)
+def _round_half_up(numer, denom: int):
+    """numer/denom rounded half up, for ints or int arrays."""
+    return (numer + denom // 2) // denom
 
 
 def reject_glitches(stream: BinarySampleStream, glitch_max: int) -> BinarySampleStream:
@@ -201,6 +202,12 @@ def demodulate(stream: BinarySampleStream, cfg: ModemConfig) -> str:
     return "".join(bits)
 
 
+# bytes.translate tables from a group's index in a chunk (mod 256) to its
+# bit: groups alternate from the first group's value, and HIGH decodes to "0"
+_DIGITS = {first: bytes(ord("0") + (first ^ i ^ 1) % 2 for i in range(256))
+           for first in (LOW, HIGH)}
+
+
 class StreamAssembler:
     """Incremental classify->reject->demodulate over sample chunks.
 
@@ -209,8 +216,9 @@ class StreamAssembler:
     glitch_max, and a growing tail run emits its bits incrementally (needed
     so frames whose last bits are 0 decode during the following silence
     instead of at the next edge). ``bit_times`` records when each bit became
-    known. Samples are ingested a run at a time, so cost scales with the
-    number of edges, not samples.
+    known. Each chunk is decoded in one array pass over its runs; the tail
+    run and a short run carried from earlier chunks are a virtual prefix of
+    the chunk.
     """
 
     def __init__(self, cfg: ModemConfig):
@@ -221,51 +229,19 @@ class StreamAssembler:
         self._reset_runs()
 
     def _reset_runs(self):
-        self._tail: list | None = None      # [value, length, emitted]
-        self._raw: list | None = None       # [value, length], length <= glitch_max
-        self._lead_missing = 0
-        self._started = False
-
-    def _emit(self, value: bool, count: int, t_us: int):
-        self.bits.extend(["0" if value == HIGH else "1"] * count)
-        self.bit_times.extend([t_us] * count)
-
-    def _finalize_tail(self, t_us: int):
-        if self._tail is None:
-            return
-        v, n, emitted = self._tail
-        total = max(1, _round_half_up(n, self._os))
-        if total > emitted:
-            self._emit(v, total - emitted, t_us)
-        self._tail = None
-
-    def _bit_ready_at(self, j: int) -> int:
-        # tail length at which bit j (0-based) of the tail run rounds in
-        return (self._os * (2 * j + 1) + 1) // 2
-
-    def _grow_tail(self, timed: int, extra: int, times: Sequence[int],
-                   floor_idx: int):
-        """Extend the tail by ``extra`` untimed samples (absorbed or carried
-        from earlier chunks) plus ``timed`` samples arriving with ``times``.
-        The timed sample that brings the tail to length L sits at index
-        L - (n0 + extra) - 1; floor_idx clamps bits unlocked late by a
-        promotion or an absorption."""
-        v, n0, emitted = self._tail
-        base = n0 + extra
-        self._tail[1] = base + timed
-        can = _round_half_up(self._tail[1], self._os)
-        last = len(times) - 1
-        for j in range(emitted, can):
-            idx = self._bit_ready_at(j) - base - 1
-            if idx < floor_idx:
-                idx = floor_idx
-            if idx > last:
-                idx = last
-            self._emit(v, 1, int(times[idx]))
-        self._tail[2] = can
+        # the tail run with its absorbed glitches, as (value, length), has
+        # emitted _round_half_up(length, os) bits; an undecided run of _raw
+        # samples may follow. Before the first real value: _lead missings.
+        self._tail: tuple[int, int] | None = None
+        self._raw = 0
+        self._lead = 0
 
     def feed(self, values: Sequence[bool | None], end_times: Sequence[int]):
+        """Decode the next chunk: True/1 high, False/0 low, None/-1 missing,
+        one sample ending at each of ``end_times``."""
         n = len(values)
+        if len(end_times) != n:
+            raise DomainError("values and end_times must have the same length")
         if n == 0:
             return
         if isinstance(values, np.ndarray):
@@ -275,85 +251,108 @@ class StreamAssembler:
                               dtype=np.int8, count=n)
         times = np.asarray(end_times, dtype=np.int64)
 
-        start = 0
-        if not self._started:
-            real = np.flatnonzero(arr >= 0)
-            if len(real) == 0:
-                self._lead_missing += n
+        if self._tail is None:
+            # stream head: leading missings inherit the first real value,
+            # stamped with the time that value arrived (clamped to index 0)
+            lead = 0 if arr[0] >= 0 else int(np.argmax(arr >= 0))
+            if arr[lead] < 0:
+                self._lead += n
                 return
-            start = int(real[0])
-            self._lead_missing += start
-            if self._lead_missing:
-                # leading missings inherit the first real value, stamped with
-                # the time that value arrived
-                v0 = bool(arr[start])
-                self._feed_run(v0, self._lead_missing,
-                               np.repeat(times[start], self._lead_missing))
-                self._lead_missing = 0
-            self._started = True
-
-        # missing samples inherit the previous value (forward fill)
-        chunk = arr[start:]
-        ctimes = times[start:]
-        if chunk[0] < 0:
-            prev = self._raw[0] if self._raw is not None else self._tail[0]
-            chunk = chunk.copy()
-            chunk[0] = int(prev)
-        if (chunk < 0).any():
-            idx = np.arange(len(chunk))
-            idx[chunk < 0] = 0
-            np.maximum.accumulate(idx, out=idx)
-            chunk = chunk[idx]
-
-        edges = np.flatnonzero(chunk[1:] != chunk[:-1]) + 1
-        bounds = [0, *edges.tolist(), len(chunk)]
-        for a, b in zip(bounds, bounds[1:]):
-            self._feed_run(bool(chunk[a]), b - a, ctimes[a:b])
-
-    def _feed_run(self, v: bool, n: int, times: Sequence[int]):
-        gmax = self._gmax
-        if self._tail is None and self._raw is None:
-            # stream head is a boundary run: promoted immediately
-            self._tail = [v, 0, 0]
-            self._grow_tail(n, 0, times, 0)
-            return
-        if self._raw is not None and v == self._raw[0]:
-            have = self._raw[1]
-            if have + n > gmax:
-                # outgrew the glitch budget: a genuine run replaces the tail
-                cross = gmax - have  # sample where it stopped being a glitch
-                self._finalize_tail(int(times[cross]))
-                self._tail = [v, 0, 0]
-                self._raw = None
-                self._grow_tail(n, have, times, cross)
-            else:
-                self._raw[1] += n
-            return
-        if self._raw is not None:
-            # the raw run ended while short: interior glitch, absorbed; the
-            # new run matches the tail value by alternation
-            absorbed = self._raw[1]
-            self._raw = None
-            self._grow_tail(n, absorbed, times, 0)
-            return
-        if v == self._tail[0]:
-            self._grow_tail(n, 0, times, 0)
-        elif n > gmax:
-            self._finalize_tail(int(times[gmax]))
-            self._tail = [v, 0, 0]
-            self._grow_tail(n, 0, times, gmax)
+            if lead:
+                arr, times = arr[lead:], times[lead:]
+            value, length, raw = int(arr[0]), self._lead + lead, 0
         else:
-            self._raw = [v, n]
+            (value, length), raw = self._tail, self._raw
+            if arr[0] < 0:
+                arr = arr.copy()
+                arr[0] = value ^ (raw > 0)
+        if arr[arr.argmin()] < 0:  # missings inherit the previous value
+            arr = arr[np.maximum.accumulate(np.where(arr < 0, 0, np.arange(len(arr))))]
+
+        # run bounds in chunk indices, the carried runs starting before 0;
+        # values alternate, so run k has value ``value ^ (k & 1)``
+        change = np.empty(len(arr) + 1, dtype=bool)
+        change[0] = change[-1] = True
+        np.not_equal(arr[1:], arr[:-1], out=change[1:-1])
+        bounds = change.nonzero()[0]
+        heads = [-length - raw, -raw] if raw else [-length]
+        if arr[0] == value ^ (raw > 0):
+            bounds[0] = heads.pop()  # the chunk continues the last carried run
+        if heads:
+            bounds = np.concatenate((heads, bounds))
+        lengths = bounds[1:] - bounds[:-1]
+        long = lengths > self._gmax
+        long[0] = True  # the tail, or the head of a stream, is never a glitch
+        floor = None
+        groups = np.count_nonzero(long)
+        if groups == len(lengths) or (groups == len(lengths) - 1 and not long[-1]):
+            # every run is long but maybe an undecided last one: each long
+            # run starts a group
+            group_start, group_len = bounds[:groups], lengths[:groups]
+            undecided = groups < len(lengths)
+        else:
+            # a run of the other value than the last long run is a glitch,
+            # absorbed into the group that long run started or, as the last
+            # run, undecided; a group starts at each long run whose value
+            # differs from the last one's
+            runs = np.arange(len(lengths))
+            last_long = np.maximum.accumulate(runs * long)
+            glitch = (runs - last_long) & 1
+            parity = last_long & 1
+            starts = (parity[1:] != parity[:-1]).nonzero()[0] + 1
+            group_start = bounds[np.concatenate(((0,), starts))]
+            undecided = bool(glitch[-1])
+            group_len = np.append(group_start[1:], bounds[-1 - undecided]) - group_start
+            groups = len(group_start)
+            # a bit ready inside an absorbed glitch is known when the next
+            # run starts
+            floor = np.where(glitch, bounds[1:], bounds[:-1])
+
+        # bit j of a group is ready at sample start + lag + os*j, where it
+        # rounds in. A finished group that rounds to nothing still yields
+        # one bit, at its successor's cross sample (where that run outgrew
+        # glitch_max): its start moves to that sample less lag.
+        os_, lag = self._os, (self._os + 1) // 2 - 1
+        total = _round_half_up(group_len, os_)
+        count, start = total, group_start
+        if 0 in total.tolist():
+            count = np.maximum(total, 1)
+            count[-1] = total[-1]
+            start = np.where(total, group_start, group_start + group_len + self._gmax - lag)
+        # the carried tail has emitted the bits its length rounds to
+        emitted = _round_half_up(length, os_) if self._tail else 0
+        if emitted:
+            count[0] -= emitted
+        done = np.add.accumulate(count)
+        origin = start - os_ * (done - count)  # bits of earlier groups come first
+        if emitted:
+            origin[0] += os_ * emitted
+        nbits = int(done[-1])
+        if nbits:
+            at = origin.repeat(count)
+            at += np.arange(lag, lag + os_ * nbits, os_)
+            if floor is not None:
+                at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
+            if at[0] < 0:  # ready among leading missings
+                np.maximum(at, 0, out=at)
+            self.bit_times.extend(times[at].tolist())
+            # each bit's group index, mod 256, spelled by its parity
+            group_of = np.arange(groups, dtype=np.uint8).repeat(count)
+            self.bits.extend(group_of.tobytes().translate(_DIGITS[value]).decode())
+
+        self._tail = (value ^ ((groups - 1) & 1), int(group_len[-1]))
+        self._raw = int(lengths[-1]) if undecided else 0
 
     def end_segment(self, t_us: int | None = None):
         """Close the current sample run (the process stopped listening)."""
         t = t_us if t_us is not None else (self.bit_times[-1] if self.bit_times else 0)
-        if self._raw is not None:
-            # the trailing run is a boundary run and is kept as-is; by
-            # alternation its value differs from the tail's
-            v, n = self._raw
-            self._raw = None
-            self._finalize_tail(t)
-            self._tail = [v, n, 0]
-        self._finalize_tail(t)
+        if self._tail is not None:
+            # a tail too short to round to a bit still yields one, and so
+            # does the undecided run after it: it is a boundary run, kept
+            value, length = self._tail
+            ends = [value] if _round_half_up(length, self._os) == 0 else []
+            if self._raw:
+                ends.append(value ^ 1)
+            self.bits.extend("0" if v == HIGH else "1" for v in ends)
+            self.bit_times.extend([t] * len(ends))
         self._reset_runs()

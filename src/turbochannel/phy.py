@@ -288,12 +288,11 @@ class SimulatedChannel:
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
         while True:
             t0 = max(0, start_us - lookback)
-            spans = []
-            for core in range(policy.core_count):
-                iv = self._core_intervals(core)
-                lo = int(np.searchsorted(iv[:, 1], t0, side="right"))
-                hi = int(np.searchsorted(iv[:, 0], end_us, side="left"))
-                spans.append(iv[lo:hi])
+            spans = [np.empty((0, 2), dtype=np.int64)]
+            for iv in map(self._core_intervals, range(policy.core_count)):
+                if len(iv):  # most pool cores of a quiet channel hold none
+                    spans.append(iv[iv[:, 1].searchsorted(t0, side="right"):
+                                    iv[:, 0].searchsorted(end_us, side="left")])
             live = np.concatenate(spans)
             times, counts = step_function(np.maximum(live[:, 0], t0),
                                           np.minimum(live[:, 1], end_us), t0)
@@ -404,25 +403,27 @@ class SimulatedChannel:
 
         t0, t1 = int(bounds[0]), int(bounds[-1])
         seg_t, seg_f = self.frequency_trace(t0, t1).segments.T
+        rate_t, rate, missing = seg_t, seg_f, np.zeros(n, dtype=bool)
         # the loop runs at frequency * (1 - depth), where depth counts the
         # suspensions in force; suspensions are sorted by start, and their
         # ends only by prefix maximum, since one may end inside another
         preempts = self._preempts[role]
         lo = int(np.searchsorted(np.maximum.accumulate(preempts[:, 1]), t0, side="right"))
         hi = int(np.searchsorted(preempts[:, 0], t1, side="left"))
-        live = np.clip(preempts[lo:hi], t0, t1)
-        depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
-        # merge the two breakpoint lists by sorting (np.unique would import
-        # numpy.ma, 1.6 MB, on its first call)
-        rate_t = np.sort(np.concatenate([seg_t, depth_t]))
-        rate_t = rate_t[np.append(rate_t[1:] != rate_t[:-1], True)]
-        rate = (seg_f[np.searchsorted(seg_t, rate_t, side="right") - 1]
-                * (1 - depth[np.searchsorted(depth_t, rate_t, side="right") - 1]))
+        if lo < hi:  # some suspension may overlap the span
+            live = np.clip(preempts[lo:hi], t0, t1)
+            depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
+            # merge the two breakpoint lists by sorting (np.unique would
+            # import numpy.ma, 1.6 MB, on its first call)
+            rate_t = np.sort(np.concatenate([seg_t, depth_t]))
+            rate_t = rate_t[np.append(rate_t[1:] != rate_t[:-1], True)]
+            rate = (seg_f[np.searchsorted(seg_t, rate_t, side="right") - 1]
+                    * (1 - depth[np.searchsorted(depth_t, rate_t, side="right") - 1]))
+            # a window is missing when one suspension starting at or before
+            # it reaches its end
+            reach = np.maximum.accumulate(np.append(t0, live[:, 1]))
+            missing = reach[np.searchsorted(live[:, 0], bounds[:-1], side="right")] >= bounds[1:]
         integrals = _window_integrals(rate_t, rate, bounds)
-        # a window is missing when one suspension starting at or before it
-        # reaches its end
-        reach = np.maximum.accumulate(np.append(t0, live[:, 1]))
-        missing = reach[np.searchsorted(live[:, 0], bounds[:-1], side="right")] >= bounds[1:]
 
         counts = integrals * (self.ops_per_cycle / 1e6)
         if self.jitter_sigma > 0:

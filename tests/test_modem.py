@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turbochannel.modem import (HIGH, LOW, BinarySampleStream, ModemConfig,
-                                StreamAssembler, classify, default_threshold,
-                                demodulate, modulate, reject_glitches)
+                                StreamAssembler, classify, classify_array,
+                                default_threshold, demodulate, modulate,
+                                reject_glitches)
 from turbochannel.phy import SampleSeries, SimulatedChannel
 from turbochannel.turbo import DomainError, builtin_policy
 
@@ -225,7 +226,7 @@ class TestRoundTrip:
 
 class SampleAtATimeAssembler:
     """Independent per-sample formulation of the stream demodulator, used as
-    an oracle for the run-at-a-time implementation (bits and times)."""
+    an oracle for the chunk-at-a-time array implementation (bits and times)."""
 
     def __init__(self, cfg):
         self._os = cfg.oversampling
@@ -362,3 +363,101 @@ class TestStreamAssembler:
         asm.feed(values, range(1, 201))
         asm.end_segment(201)
         assert asm.bit_times == sorted(asm.bit_times)
+
+
+def _feed_in_chunks(cfg, values, times, sizes, breaks=()):
+    """Feed int8 ``values`` (1 high, 0 low, -1 missing, as classify_array
+    makes them) to StreamAssembler and to the per-sample oracle, in chunks
+    whose sizes cycle through ``sizes``; a segment ends after each chunk
+    index in ``breaks`` and after the last chunk."""
+    ref, fast = SampleAtATimeAssembler(cfg), StreamAssembler(cfg)
+    a, k = 0, 0
+    while a < len(values):
+        b = min(len(values), a + sizes[k % len(sizes)])
+        ref.feed([None if v < 0 else bool(v) for v in values[a:b].tolist()], times[a:b])
+        fast.feed(values[a:b], times[a:b])
+        if k in breaks:
+            ref.end_segment(int(times[b - 1]) + 1)
+            fast.end_segment(int(times[b - 1]) + 1)
+        a, k = b, k + 1
+    ref.end_segment(int(times[-1]) + 1)
+    fast.end_segment(int(times[-1]) + 1)
+    return ref, fast
+
+
+@st.composite
+def classified_streams(draw):
+    """A ModemConfig and int8 samples that start with missings, hold many
+    runs no longer than glitch_max, and come in chunks as small as one."""
+    oversampling = draw(st.integers(3, 10))
+    glitch_max = draw(st.integers(1, min(2, (oversampling - 1) // 2)))
+    cfg = ModemConfig(bit_time_us=oversampling * 1_000, threshold=1.0,
+                      oversampling=oversampling, glitch_max=glitch_max)
+    lead = draw(st.integers(0, 3 * oversampling))
+    runs = draw(st.lists(st.tuples(st.sampled_from([1, 0, -1]),
+                                   st.integers(1, glitch_max + 1)
+                                   | st.integers(1, 3 * oversampling)),
+                         min_size=1, max_size=24))
+    values = np.array([-1] * lead + [v for v, n in runs for _ in range(n)],
+                      dtype=np.int8)
+    gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1, 40, len(values))
+    times = 1_000 + np.cumsum(gaps)
+    sizes = draw(st.lists(st.just(1) | st.integers(1, 3 * oversampling),
+                          min_size=1, max_size=6))
+    breaks = draw(st.sets(st.integers(0, 40), max_size=3))
+    return cfg, values, times, sizes, breaks
+
+
+class TestArrayFeeds:
+    """The simulator feeds classify_array's int8 arrays, chunk by chunk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(classified_streams())
+    def test_matches_per_sample_oracle(self, stream):
+        ref, fast = _feed_in_chunks(*stream)
+        assert fast.bits == ref.bits
+        assert fast.bit_times == ref.bit_times
+
+    # hand-checked cases, os 8 and glitch_max 2; sample i ends at 10*(i+1)
+    @pytest.mark.parametrize("text, sizes, breaks, bits, times", [
+        # a 3-sample high head rounds to nothing; the low sample ending the
+        # first chunk is carried, promoted in the second, and the head's
+        # one bit is stamped with that run's cross sample (5) there
+        ("hhhl" + "l" * 11, [4, 11], (), "011", [60, 70, 150]),
+        # the high group's second bit rounds in at the low glitch (sample
+        # 11), which is absorbed only when the next run starts (12)
+        ("h" * 11 + "l" + "h" * 8, [20], (), "000", [40, 130, 200]),
+        # ten leading missings span four chunks; bits ready among them are
+        # stamped with the first real sample (10)
+        ("." * 10 + "l" * 16 + "h" * 8, [3], (), "1110", [110, 120, 200, 300]),
+        # a segment ends with an undecided high pair, which is kept as a bit
+        # at the segment's end (101); the next feed starts a new stream
+        ("l" * 8 + "hh" + "h" * 8, [10, 8], {0}, "100", [40, 101, 140]),
+    ])
+    def test_hand_checked(self, text, sizes, breaks, bits, times):
+        codes = {"h": 1, "l": 0, ".": -1}
+        values = np.array([codes[c] for c in text], dtype=np.int8)
+        ref, fast = _feed_in_chunks(CFG8, values, 10 * np.arange(1, len(text) + 1),
+                                    sizes, breaks)
+        assert ("".join(fast.bits), fast.bit_times) == (bits, times)
+        assert (fast.bits, fast.bit_times) == (ref.bits, ref.bit_times)
+
+    def test_classify_array_output_round_trips(self):
+        counts = np.array([3_000_000] * 8 + [2_700_000] * 8 + [0] * 2 + [2_700_000] * 6)
+        missing = np.zeros(len(counts), dtype=bool)
+        missing[16:18] = True
+        series = SampleSeries(0, 1_000, counts, missing)
+        asm = StreamAssembler(CFG8)
+        asm.feed(classify_array(series, 2_850_000), series.end_times())
+        asm.end_segment()
+        assert "".join(asm.bits) == "011"
+
+    @pytest.mark.parametrize("values, times", [
+        ([HIGH] * 3, [1, 2]),
+        (np.ones(3, dtype=np.int8), np.arange(4)),
+        ([], [5]),
+    ])
+    def test_rejects_values_and_times_of_different_lengths(self, values, times):
+        asm = StreamAssembler(CFG8)
+        with pytest.raises(DomainError):
+            asm.feed(values, times)

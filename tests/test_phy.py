@@ -323,6 +323,33 @@ class TestSuspendedSampling:
         assert series.counts.tolist() == counts
         assert series.missing.tolist() == missing
 
+    @pytest.mark.parametrize("suspensions", [
+        [],
+        [(1_000, 4_000), (60_000, 70_000)],   # all miss the span
+        [(2_000, 10_000)],                    # ends exactly at t0
+        [(30_000, 35_000)],                   # starts exactly at t1
+        [(2_000, 10_000), (30_000, 35_000), (40_000, 41_000)],
+        [(9_000, 10_001)],                    # overlaps the first window
+        [(29_999, 30_000)],                   # overlaps the last window
+        [(2_000, 10_000), (12_000, 12_500)],  # one misses, the next overlaps
+    ])
+    @pytest.mark.parametrize("noise_busy", [False, True])
+    def test_spans_around_the_suspensions(self, suspensions, noise_busy):
+        # the windows run from t0 = 10 ms to t1 = 30 ms; without noise the
+        # pool cores hold no intervals at all
+        sim = quiet_sim(preempt_intervals={"receiver": suspensions})
+        sim._grid_frac["receiver"] = 0.0
+        sim.commit_core(0, 0, 50_000)
+        if noise_busy:
+            sim.commit_core(sim.noise_pool[0], 12_000, 25_000)
+        series = sim.sample_frequency(sim.receiver, 1_000, (10_000, 30_000))
+        assert (series.start_us, len(series)) == (10_000, 20)
+        assert series.counts.dtype == np.int64
+        assert series.missing.dtype == bool
+        counts, missing = _per_suspension_reference(sim, series, suspensions)
+        assert series.counts.tolist() == counts
+        assert series.missing.tolist() == missing
+
     def test_overlapping_suspensions_covering_a_window_only_together(self):
         # [10, 10.6) and [10.4, 11) ms cover the window [10, 11) between them:
         # each takes its own 0.6 ms out, so the count is 0, yet the window
