@@ -283,30 +283,21 @@ class StreamAssembler:
         lengths = bounds[1:] - bounds[:-1]
         long = lengths > self._gmax
         long[0] = True  # the tail, or the head of a stream, is never a glitch
-        floor = None
-        groups = np.count_nonzero(long)
-        if groups == len(lengths) or (groups == len(lengths) - 1 and not long[-1]):
-            # every run is long but maybe an undecided last one: each long
-            # run starts a group
-            group_start, group_len = bounds[:groups], lengths[:groups]
-            undecided = groups < len(lengths)
-        else:
-            # a run of the other value than the last long run is a glitch,
-            # absorbed into the group that long run started or, as the last
-            # run, undecided; a group starts at each long run whose value
-            # differs from the last one's
-            runs = np.arange(len(lengths))
-            last_long = np.maximum.accumulate(runs * long)
-            glitch = (runs - last_long) & 1
-            parity = last_long & 1
-            starts = (parity[1:] != parity[:-1]).nonzero()[0] + 1
-            group_start = bounds[np.concatenate(((0,), starts))]
-            undecided = bool(glitch[-1])
-            group_len = np.append(group_start[1:], bounds[-1 - undecided]) - group_start
-            groups = len(group_start)
-            # a bit ready inside an absorbed glitch is known when the next
-            # run starts
-            floor = np.where(glitch, bounds[1:], bounds[:-1])
+        # a run an odd number of runs after the last long run has the other
+        # value: it is a glitch, absorbed into the group that long run
+        # started or, as the last run, undecided. A group starts at each
+        # long run whose value differs from the last one's.
+        runs = np.arange(len(lengths))
+        glitch = (runs - np.maximum.accumulate(runs * long)) & 1
+        undecided = int(glitch[-1])
+        longs = long.nonzero()[0]
+        parity = longs & 1
+        new = np.empty(len(longs), dtype=bool)
+        new[0] = True
+        np.not_equal(parity[1:], parity[:-1], out=new[1:])
+        edges = bounds[np.concatenate((longs[new], (len(lengths) - undecided,)))]
+        group_start, group_len = edges[:-1], edges[1:] - edges[:-1]
+        groups = len(group_start)
 
         # bit j of a group is ready at sample start + lag + os*j, where it
         # rounds in. A finished group that rounds to nothing still yields
@@ -331,8 +322,10 @@ class StreamAssembler:
         if nbits:
             at = origin.repeat(count)
             at += np.arange(lag, lag + os_ * nbits, os_)
-            if floor is not None:
-                at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
+            # a bit ready inside an absorbed glitch is known when the next
+            # run starts
+            floor = np.where(glitch, bounds[1:], bounds[:-1])
+            at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
             if at[0] < 0:  # ready among leading missings
                 np.maximum(at, 0, out=at)
             self.bit_times.extend(times[at].tolist())
