@@ -17,8 +17,8 @@ from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, ArqReceiver,
                    ArqSender, LinkConfig, TransferFailed, TransferStats, crc16,
                    decode_frame, encode_frame, next_frame, pad_payload,
                    run_transfer, scan_ack)
-from .modem import (BinarySampleStream, ModemConfig, classify,
-                    default_threshold, demodulate, modulate, reject_glitches)
+from .modem import (ModemConfig, StreamAssembler, classify_array,
+                    default_threshold, modulate)
 from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel, TxSchedule
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, apply_policy, builtin_policy, generate_noise,

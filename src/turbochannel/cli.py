@@ -108,8 +108,7 @@ def _cmd_noise_histogram(args) -> int:
     totals: dict[int, float] = {}
     horizon_us = args.horizon_ms * 1000
     for i in range(args.runs):
-        profile = NoiseProfile("idle-background", seed=i + 1,
-                               event_rates=scenario.idle_event_rates)
+        profile = NoiseProfile("idle-background", seed=i + 1)
         for ms, n in noise_change_histogram(scenario.policy, profile,
                                             horizon_us).items():
             totals[ms] = totals.get(ms, 0.0) + n

@@ -28,6 +28,12 @@ from .turbo import (MAX_EVENT_RATE, US_PER_MS, ActivityTrace, DomainError,
 
 COUNTERMEASURES = ("none", "turbo-off", "cstate-restricted", "artificial-noise")
 
+# suspensions of the covert processes when no rate is set: a floor per
+# second, plus preempt_per_load_core per busy core, each lasting up to 10 ms
+# plus PREEMPT_MAX_PER_LOAD_US per busy core (a loaded box preempts more)
+PREEMPT_BASE_TX, PREEMPT_BASE_RX = 0.03, 0.10
+PREEMPT_MAX_PER_LOAD_US = 15_000
+
 
 class ConfigError(DomainError):
     pass
@@ -60,20 +66,20 @@ def plan_marking_cores(policy: TurboPolicy, steady_active: int,
 
 
 def plan_threshold(policy: TurboPolicy, window_us: int, steady_active: int,
-                   marking_cores: int, ops_per_cycle: float = 1.0) -> float:
+                   marking_cores: int) -> float:
     """Classification threshold between the steady and marking levels."""
     idle_idx = policy.level_index_for_count(steady_active)
     sig_idx = policy.level_index_for_count(
         min(steady_active + marking_cores, policy.core_count))
     if sig_idx == idle_idx:
-        # saturated channel: split against the next level up so everything
-        # the receiver sees classifies one way and the transfer fails cleanly
-        sig_idx = idle_idx
-        idle_idx = max(0, idle_idx - 1)
-        if sig_idx == idle_idx:
-            freq = policy.frequency_of_level(idle_idx)
-            return (freq + policy.base_frequency_hz) / 2 * window_us * ops_per_cycle / 1e6
-    return default_threshold(policy, window_us, idle_idx, sig_idx, ops_per_cycle)
+        # saturated channel: split against the next level up (the top level
+        # against the base frequency) so everything the receiver sees
+        # classifies one way and the transfer fails cleanly
+        if idle_idx == 0:
+            freq = policy.frequency_of_level(0)
+            return (freq + policy.base_frequency_hz) / 2 * window_us / 1e6
+        idle_idx -= 1
+    return default_threshold(policy, window_us, idle_idx, sig_idx)
 
 
 # -- scenario ------------------------------------------------------------------
@@ -92,23 +98,17 @@ class Scenario:
     countermeasure_cores: int = 2
     record_packets: int = 0                # also record a one-way outcome trace
     idle_noise: bool = True
-    idle_event_rates: Mapping[int, float] | None = None
     oversampling: int = 8
     glitch_max: int | None = None   # None: modem default
     max_retries: int = 10
-    ops_per_cycle: float = 1.0
     jitter_sigma: float = 0.005
-    # rescheduling pressure on the covert processes: a small floor plus a
-    # per-busy-core term (a loaded box preempts its tenants more), or
-    # explicit rates (VM-to-VM style runs)
+    # suspension rates per second: explicit (VM-to-VM style runs), or None
+    # for PREEMPT_BASE_* plus a per-busy-core term
     preempt_tx_rate: float | None = None
     preempt_rx_rate: float | None = None
-    preempt_base_tx: float = 0.03
-    preempt_base_rx: float = 0.10
     preempt_per_load_core: float = 0.20
     preempt_min_us: int = 1_000
     preempt_max_us: int | None = None       # None: 10 ms + 15 ms per busy core
-    preempt_max_per_load_us: int = 15_000
 
     def __post_init__(self):
         if not self.bit_times_us:
@@ -140,8 +140,6 @@ class Scenario:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
             raise ConfigError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
-        if not (math.isfinite(self.ops_per_cycle) and self.ops_per_cycle > 0):
-            raise ConfigError(f"ops_per_cycle must be finite and > 0, got {self.ops_per_cycle}")
         for role, rate in zip(("tx", "rx"), self.preempt_rates()):
             if not 0 <= rate <= MAX_EVENT_RATE:
                 raise ConfigError(f"{role} preemption rate must be in "
@@ -166,16 +164,16 @@ class Scenario:
     def preempt_rates(self) -> tuple[float, float]:
         scale = self.preempt_per_load_core * self.constant_cores
         tx = self.preempt_tx_rate if self.preempt_tx_rate is not None \
-            else self.preempt_base_tx + scale
+            else PREEMPT_BASE_TX + scale
         rx = self.preempt_rx_rate if self.preempt_rx_rate is not None \
-            else self.preempt_base_rx + scale
+            else PREEMPT_BASE_RX + scale
         return tx, rx
 
     def preempt_duration_bounds(self) -> tuple[int, int]:
         # suspensions stretch on a busier box: the preempted process waits
         # behind more runnable work before it is scheduled again
         hi = self.preempt_max_us if self.preempt_max_us is not None \
-            else 10_000 + self.preempt_max_per_load_us * self.constant_cores
+            else 10_000 + PREEMPT_MAX_PER_LOAD_US * self.constant_cores
         return self.preempt_min_us, hi
 
 
@@ -217,9 +215,6 @@ class ScenarioReport:
         rows = self.rows_for(bit_time_us)
         return sum(1 for r in rows if r.success) / len(rows)
 
-    def best_mean_goodput(self) -> float:
-        return max(self.mean_goodput(bt) for bt in self.bit_times())
-
 
 def _scenario_payload(size: int, seed: int) -> bytes:
     rng = random.Random(f"payload:{seed}:{size}")
@@ -243,8 +238,8 @@ def build_simulation(s: Scenario, bit_time_us: int, seed: int,
     ack = s.planned_ack_cores(tx)
     window = bit_time_us // s.oversampling
     steady = 1 + s.constant_cores
-    data_thr = plan_threshold(s.policy, window, steady, tx, s.ops_per_cycle)
-    ack_thr = plan_threshold(s.policy, window, steady, ack, s.ops_per_cycle)
+    data_thr = plan_threshold(s.policy, window, steady, tx)
+    ack_thr = plan_threshold(s.policy, window, steady, ack)
     data_cfg = ModemConfig(bit_time_us, data_thr, s.oversampling, s.glitch_max)
     ack_cfg = ModemConfig(bit_time_us, ack_thr, s.oversampling, s.glitch_max)
 
@@ -253,8 +248,7 @@ def build_simulation(s: Scenario, bit_time_us: int, seed: int,
         noise.append(NoiseProfile("constant-load", seed=seed,
                                   constant_cores=s.constant_cores))
     if s.idle_noise:
-        noise.append(NoiseProfile("idle-background", seed=seed,
-                                  event_rates=s.idle_event_rates))
+        noise.append(NoiseProfile("idle-background", seed=seed))
     if s.countermeasure == "artificial-noise":
         noise.append(NoiseProfile("custom", seed=seed + 7919,
                                   toggle_cores=s.countermeasure_cores))
@@ -270,7 +264,7 @@ def build_simulation(s: Scenario, bit_time_us: int, seed: int,
     sim = SimulatedChannel(
         s.policy, horizon_us,
         tx_core_count=tx, ack_core_count=ack, noise=noise, seed=seed,
-        ops_per_cycle=s.ops_per_cycle, jitter_sigma=s.jitter_sigma,
+        jitter_sigma=s.jitter_sigma,
         sender_preempt_rate=tx_rate, receiver_preempt_rate=rx_rate,
         preempt_min_us=pre_lo, preempt_max_us=pre_hi,
         pinned_frequency_hz=pinned)
@@ -369,8 +363,7 @@ def scenario_noise_histogram(s: Scenario, seed: int,
                              horizon_us: int = 1_000_000) -> dict[int, int]:
     if not s.idle_noise or s.countermeasure in ("turbo-off", "cstate-restricted"):
         return {}
-    profile = NoiseProfile("idle-background", seed=seed,
-                           event_rates=s.idle_event_rates)
+    profile = NoiseProfile("idle-background", seed=seed)
     return noise_change_histogram(s.policy, profile, horizon_us)
 
 
@@ -465,15 +458,6 @@ def emit_csv(report: ScenarioReport, path: str | Path) -> Path:
 
 def _fmt_ms(bit_time_us: int) -> str:
     return f"{bit_time_us / 1000:.3f}"
-
-
-def parse_csv(path: str | Path) -> list[dict]:
-    rows = []
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    for line in lines[1:]:
-        rows.append(dict(zip(header, line.split(","))))
-    return rows
 
 
 # -- scenario config files ---------------------------------------------------------

@@ -9,7 +9,7 @@ shared clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,14 +46,6 @@ class ModemConfig:
         return self.bit_time_us // self.oversampling
 
 
-@dataclass
-class BinarySampleStream:
-    """Thresholded samples: True=high, False=low, None=missing."""
-
-    values: list[bool | None]
-    times_us: list[int] = field(default_factory=list)  # sample end times, optional
-
-
 def modulate(bits: str, cfg: ModemConfig, tx_cores: int = 1,
              start_us: int = 0) -> TxSchedule:
     """Turn a bit string into wake/sleep marks, merging equal-bit runs."""
@@ -74,18 +66,9 @@ def modulate(bits: str, cfg: ModemConfig, tx_cores: int = 1,
     return TxSchedule(tuple(entries), tx_cores)
 
 
-def classify(series: SampleSeries, threshold: float) -> BinarySampleStream:
-    """count > threshold -> high, count <= threshold -> low (ties are low)."""
-    if threshold <= 0:
-        raise DomainError("threshold must be > 0")
-    values: list[bool | None] = []
-    for i, c in enumerate(series.counts):
-        values.append(None if series.missing[i] else bool(c > threshold))
-    return BinarySampleStream(values, [int(t) for t in series.end_times()])
-
-
 def classify_array(series: SampleSeries, threshold: float) -> np.ndarray:
-    """Array form of classify for stream feeding: 1 high, 0 low, -1 missing."""
+    """Classify each window for stream feeding: 1 high (count above the
+    threshold), 0 low (ties are low), -1 missing."""
     if threshold <= 0:
         raise DomainError("threshold must be > 0")
     arr = (series.counts > threshold).astype(np.int8)
@@ -94,7 +77,7 @@ def classify_array(series: SampleSeries, threshold: float) -> np.ndarray:
 
 
 def default_threshold(policy: TurboPolicy, window_us: int, idle_level: int,
-                      signal_level: int, ops_per_cycle: float = 1.0) -> float:
+                      signal_level: int) -> float:
     """Midpoint of the expected counts of two policy levels over one window.
 
     The level table is discrete, so the midpoint separates the idle and
@@ -105,101 +88,14 @@ def default_threshold(policy: TurboPolicy, window_us: int, idle_level: int,
     for lvl in (idle_level, signal_level):
         if not 0 <= lvl < len(policy.levels):
             raise DomainError(f"level index {lvl} out of range")
-    c1 = policy.frequency_of_level(idle_level) * window_us * ops_per_cycle / 1e6
-    c2 = policy.frequency_of_level(signal_level) * window_us * ops_per_cycle / 1e6
+    c1 = policy.frequency_of_level(idle_level) * window_us / 1e6
+    c2 = policy.frequency_of_level(signal_level) * window_us / 1e6
     return (c1 + c2) / 2.0
-
-
-# -- run-length core ----------------------------------------------------------
-
-def _fill_missing(values: Sequence[bool | None], lead: bool | None = None) -> list[bool]:
-    """Missing samples inherit the previous value; leading missings take the
-    first real value seen (or ``lead`` when continuing an earlier stream)."""
-    filled: list[bool] = []
-    prev = lead
-    pending = 0
-    for v in values:
-        if v is None:
-            if prev is None:
-                pending += 1
-            else:
-                filled.append(prev)
-        else:
-            if prev is None and pending:
-                filled.extend([v] * pending)
-                pending = 0
-            filled.append(v)
-            prev = v
-    if pending and prev is not None:
-        filled.extend([prev] * pending)
-    return filled
-
-
-def _to_runs(values: Sequence[bool]) -> list[list]:
-    runs: list[list] = []
-    for v in values:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
-
-
-def _reject_runs(runs: list[list], glitch_max: int) -> list[list]:
-    """Single left-to-right pass: interior runs no longer than glitch_max are
-    rewritten to their flanking value. Rewrites only extend runs, so applying
-    the pass twice changes nothing."""
-    if not runs:
-        return []
-    out = [list(runs[0])]
-    for i in range(1, len(runs)):
-        v, n = runs[i]
-        if n <= glitch_max and i < len(runs) - 1:
-            out[-1][1] += n
-        elif v == out[-1][0]:
-            out[-1][1] += n
-        else:
-            out.append([v, n])
-    return out
 
 
 def _round_half_up(numer, denom: int):
     """numer/denom rounded half up, for ints or int arrays."""
     return (numer + denom // 2) // denom
-
-
-def reject_glitches(stream: BinarySampleStream, glitch_max: int) -> BinarySampleStream:
-    """Drop classified-value runs too short to be real bits.
-
-    Missing samples first inherit the previous value, so short receive-side
-    preemptions behave exactly like glitches.
-    """
-    if glitch_max < 1:
-        raise DomainError("glitch_max must be >= 1")
-    filled = _fill_missing(stream.values)
-    if not filled:
-        return BinarySampleStream([], list(stream.times_us))
-    runs = _reject_runs(_to_runs(filled), glitch_max)
-    values: list[bool | None] = []
-    for v, n in runs:
-        values.extend([v] * n)
-    return BinarySampleStream(values, list(stream.times_us))
-
-
-def demodulate(stream: BinarySampleStream, cfg: ModemConfig) -> str:
-    """Run-length decode an already glitch-rejected stream.
-
-    Low runs are 1s (cores awake pull the frequency down), high runs are 0s;
-    each run yields round(run/oversampling) bits, at least one.
-    """
-    filled = _fill_missing(stream.values)
-    if not filled:
-        return ""
-    bits = []
-    for v, n in _to_runs(filled):
-        count = max(1, _round_half_up(n, cfg.oversampling))
-        bits.append(("0" if v == HIGH else "1") * count)
-    return "".join(bits)
 
 
 # bytes.translate tables from a group's index in a chunk (mod 256) to its
@@ -209,16 +105,18 @@ _DIGITS = {first: bytes(ord("0") + (first ^ i ^ 1) % 2 for i in range(256))
 
 
 class StreamAssembler:
-    """Incremental classify->reject->demodulate over sample chunks.
+    """Incremental demodulator over chunks of classified samples.
 
-    Equivalent to the batch pipeline on the concatenated stream, but emits
-    bits as soon as they are decidable: a run is promoted once it outgrows
-    glitch_max, and a growing tail run emits its bits incrementally (needed
-    so frames whose last bits are 0 decode during the following silence
-    instead of at the next edge). ``bit_times`` records when each bit became
-    known. Each chunk is decoded in one array pass over its runs; the tail
-    run and a short run carried from earlier chunks are a virtual prefix of
-    the chunk.
+    Missing samples inherit the previous value, an interior run no longer
+    than glitch_max joins the run before it, and each run decodes to
+    run/oversampling bits, rounded half up but at least one (low runs are
+    1s). Bits are emitted as soon as they are decidable: a run is promoted
+    once it outgrows glitch_max, and a growing tail run emits its bits
+    incrementally (needed so frames whose last bits are 0 decode during the
+    following silence instead of at the next edge). ``bit_times`` records
+    when each bit became known. Each chunk is decoded in one array pass over
+    its runs; the tail run and a short run carried from earlier chunks are a
+    virtual prefix of the chunk.
     """
 
     def __init__(self, cfg: ModemConfig):

@@ -61,14 +61,6 @@ class SampleSeries:
     counts: np.ndarray          # int64
     missing: np.ndarray         # bool, parallel to counts
 
-    @property
-    def samples(self) -> list[tuple[int, int | None]]:
-        out = []
-        for i in range(len(self.counts)):
-            t = self.start_us + i * self.window_us
-            out.append((t, None if self.missing[i] else int(self.counts[i])))
-        return out
-
     def __len__(self):
         return len(self.counts)
 
@@ -104,7 +96,6 @@ class SimulatedChannel:
                  ack_core_count: int | None = None,
                  noise: Sequence[NoiseProfile] = (),
                  seed: int = 0,
-                 ops_per_cycle: float = 1.0,
                  jitter_sigma: float = 0.005,
                  sender_preempt_rate: float = 0.0,
                  receiver_preempt_rate: float = 0.0,
@@ -116,8 +107,6 @@ class SimulatedChannel:
             raise DomainError("horizon_us must be > 0")
         if tx_core_count < 1:
             raise DomainError("tx_core_count must be >= 1")
-        if not (math.isfinite(ops_per_cycle) and ops_per_cycle > 0):
-            raise DomainError("ops_per_cycle must be finite and > 0")
         if not (math.isfinite(jitter_sigma) and jitter_sigma >= 0):
             raise DomainError("jitter_sigma must be finite and >= 0")
         if tx_core_count + 1 > policy.core_count:
@@ -125,7 +114,6 @@ class SimulatedChannel:
         self.policy = policy
         self.horizon_us = horizon_us
         self.seed = seed
-        self.ops_per_cycle = ops_per_cycle
         self.jitter_sigma = jitter_sigma
         self.pinned_frequency_hz = pinned_frequency_hz
 
@@ -220,9 +208,6 @@ class SimulatedChannel:
             merged = self._merged[core]
             self._merged[core] = (self._static[core] if merged is static
                                   else _merge_suffix(merged, ivs))
-
-    def preempt_intervals(self, role: str) -> np.ndarray:
-        return self._preempts[role]
 
     def commit_core(self, core: int, start_us: int, end_us: int):
         """Record that a core is active on [start, end); overlaps are unioned."""
@@ -378,8 +363,8 @@ class SimulatedChannel:
                          span: tuple[int, int]) -> SampleSeries:
         """Run the counting loop over a time span.
 
-        Each window's count is the frequency integral over the window scaled
-        by ops_per_cycle and multiplied by measurement jitter. Every
+        Each window's count is the frequency integral over the window, one
+        operation per cycle, multiplied by measurement jitter. Every
         suspension of the sampling process takes its own overlap out of the
         integral, so overlapping suspensions take their overlap out twice.
         A window that one suspension covers whole is missing. The sampling
@@ -425,7 +410,7 @@ class SimulatedChannel:
             missing = reach[np.searchsorted(live[:, 0], bounds[:-1], side="right")] >= bounds[1:]
         integrals = _window_integrals(rate_t, rate, bounds)
 
-        counts = integrals * (self.ops_per_cycle / 1e6)
+        counts = integrals * 1e-6  # Hz*us to cycles
         if self.jitter_sigma > 0:
             g = self._jitter[role].normal(0.0, self.jitter_sigma, size=n)
             counts = counts * (1.0 + g)

@@ -263,13 +263,6 @@ class FrequencyTrace:
     def __post_init__(self):
         self.segments = np.asfortranarray(self.segments, dtype=np.int64)
 
-    def frequency_at(self, t_us: int) -> int:
-        if not 0 <= t_us < self.horizon_us:
-            raise DomainError(f"time {t_us} outside [0, {self.horizon_us})")
-        times, freqs = self.segments.T
-        # the first segment also holds before its start
-        return int(freqs[np.searchsorted(times[1:], t_us, side="right")])
-
     def max_frequency(self) -> int:
         return int(self.segments[:, 1].max())
 
@@ -392,12 +385,9 @@ class NoiseProfile:
 
     Kinds:
       idle-background  Poisson single-core wakeups; durations drawn from
-                       ``event_rates`` (ms -> events/s).
+                       ``event_rates`` (ms -> events/s), by default
+                       ``IDLE_EVENT_RATES``.
       constant-load    ``constant_cores`` cores held active for the horizon.
-      vm-interrupts    Poisson preemption events (``interrupt_rate``/s) whose
-                       durations are uniform in [preempt_min_us, preempt_max_us].
-                       The physical layer also treats these intervals as
-                       suspensions of the process pinned to the core.
       custom           ``toggle_cores`` cores independently alternating
                        active/idle with uniform dwell times (artificial-noise
                        countermeasure).
@@ -407,15 +397,12 @@ class NoiseProfile:
     seed: int = 0
     event_rates: Mapping[int, float] | None = None
     constant_cores: int = 0
-    interrupt_rate: float = 0.0
-    preempt_min_us: int = 1_000
-    preempt_max_us: int = 10_000
     toggle_cores: int = 0
     toggle_min_us: int = 5_000
     toggle_max_us: int = 50_000
 
     def __post_init__(self):
-        if self.kind not in ("idle-background", "constant-load", "vm-interrupts", "custom"):
+        if self.kind not in ("idle-background", "constant-load", "custom"):
             raise DomainError(f"unknown noise kind {self.kind!r}")
         if self.event_rates is not None and not (
                 all(r >= 0 for r in self.event_rates.values())
@@ -424,13 +411,8 @@ class NoiseProfile:
             # billion; an infinite sum keeps every wakeup at time 0, without end
             raise DomainError(f"event rates must be >= 0 with a sum of at most "
                               f"{MAX_EVENT_RATE:g}/s")
-        if not 0 <= self.interrupt_rate <= MAX_EVENT_RATE:
-            # nan fails the first draw; past the bound gaps round to 0 us
-            raise DomainError(f"interrupt_rate must be in [0, {MAX_EVENT_RATE:g}]/s")
         if self.constant_cores < 0 or self.toggle_cores < 0:
             raise DomainError("core counts must be >= 0")
-        if not 0 <= self.preempt_min_us <= self.preempt_max_us:
-            raise DomainError("need 0 <= preempt_min_us <= preempt_max_us")
         if not 0 < self.toggle_min_us <= self.toggle_max_us:
             raise DomainError("need 0 < toggle_min_us <= toggle_max_us")
 
@@ -561,24 +543,16 @@ def _by_core(blocks: Sequence[NoiseBlock], cores: Iterable[int]
 
 
 def _expand(profile: NoiseProfile, horizon_us: int, pool: list[int]):
-    """Intervals of the other kinds, one at a time. vm-interrupts and custom
-    draw with ``randint``, which takes a variable number of words from the
-    generator, so their draws are not made in blocks."""
+    """Intervals of the constant-load and custom kinds, one at a time.
+    custom draws with ``randint``, which takes a variable number of words
+    from the generator, so its draws are not made in blocks."""
     if profile.kind == "constant-load":
         for c in pool[: profile.constant_cores]:
             yield c, 0, horizon_us
         return
-    if profile.kind == "custom":
-        yield from heapq.merge(*(_toggles(profile, c, horizon_us)
-                                 for c in pool[: profile.toggle_cores]),
-                               key=itemgetter(1))
-        return
-    if not pool:
-        return
-    rng = random.Random(f"noise:{profile.kind}:{profile.seed}")
-    for idx, t in enumerate(_poisson_events(rng, profile.interrupt_rate, horizon_us)):
-        dur = rng.randint(profile.preempt_min_us, profile.preempt_max_us)
-        yield pool[idx % len(pool)], t, min(t + dur, horizon_us)
+    yield from heapq.merge(*(_toggles(profile, c, horizon_us)
+                             for c in pool[: profile.toggle_cores]),
+                           key=itemgetter(1))
 
 
 def _toggles(profile: NoiseProfile, core: int, horizon_us: int):

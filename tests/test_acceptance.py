@@ -8,15 +8,16 @@ import contextlib
 import random
 import time
 
+from oracles import BinarySampleStream, classify, demodulate, reject_glitches
+
 from turbochannel.fec import (FecModel, PacketOutcome, attempts_needed,
                               estimate_goodput, rs_correctable)
 from turbochannel.harness import (Scenario, emit_csv, noise_change_histogram,
                                   run_scenario)
 from turbochannel.link import (ArqReceiver, ArqSender, LinkConfig, crc16,
                                encode_frame, pad_payload, scan_ack)
-from turbochannel.modem import (HIGH, LOW, BinarySampleStream, ModemConfig,
-                                StreamAssembler, classify_array, demodulate,
-                                default_threshold, modulate, reject_glitches)
+from turbochannel.modem import (HIGH, LOW, ModemConfig, StreamAssembler,
+                                classify_array, default_threshold, modulate)
 from turbochannel.phy import SimulatedChannel
 from turbochannel.turbo import builtin_policy, turbo_frequency
 
@@ -71,6 +72,22 @@ def test_c02_modem_round_trip():
             asm.end_segment(end)
             decoded = "".join(asm.bits)
             assert ("0" + wire + "0") in ("0" + decoded + "0"), (i, os_, bits)
+            assert decoded == _batch_decode(classify(series, thr), cfg), (i, os_)
+
+
+def _batch_decode(stream, cfg):
+    """The batch demodulator from tests/oracles.py, the assembler's oracle."""
+    return demodulate(reject_glitches(stream, cfg.glitch_max), cfg)
+
+
+def _assemble(values, cfg, chunk=7):
+    """StreamAssembler's bits for one stream fed in chunks of ``chunk``
+    samples, as the receiver feeds it."""
+    asm = StreamAssembler(cfg)
+    for a in range(0, len(values), chunk):
+        asm.feed(values[a:a + chunk], range(a + 1, min(a + chunk, len(values)) + 1))
+    asm.end_segment(len(values))
+    return "".join(asm.bits)
 
 
 def _inject_interior_flips(values, rng, gmax, count):
@@ -107,13 +124,13 @@ def test_c03_glitch_robustness():
             clean = []
             for b in bits:
                 clean.extend([LOW if b == "1" else HIGH] * 8)
-            base = demodulate(
-                reject_glitches(BinarySampleStream(clean), cfg.glitch_max), cfg)
+            base = _assemble(clean, cfg)
+            assert base == _batch_decode(BinarySampleStream(clean), cfg)
             noisy, placed = _inject_interior_flips(clean, rng, cfg.glitch_max,
                                                    rng.randint(1, 20))
             injected_total += placed
-            got = demodulate(
-                reject_glitches(BinarySampleStream(noisy), cfg.glitch_max), cfg)
+            got = _assemble(noisy, cfg)
+            assert got == _batch_decode(BinarySampleStream(noisy), cfg)
             assert got == base
         assert injected_total > 1000  # the campaign actually injected flips
 

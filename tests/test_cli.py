@@ -118,8 +118,10 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, key", [("idle_noies = off", "idle_noies"),
                                        ("policy.level = 2:3.0, 8:2.1", "policy.level"),
-                                       # a Scenario field set only from code
-                                       ("idle_event_rates = 1:1e9", "idle_event_rates")])
+                                       # retired model knobs: no Scenario field
+                                       ("idle_event_rates = 1:1e9", "idle_event_rates"),
+                                       ("ops_per_cycle = 1.0", "ops_per_cycle"),
+                                       ("preempt_base_tx = 0.1", "preempt_base_tx")])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, line, key):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(IDLE_CFG + line + "\n")

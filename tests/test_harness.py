@@ -1,13 +1,18 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import parse_csv
 from strategies import noise_profiles
 
+from turbochannel import harness
 from turbochannel.fec import rs_correctable
 from turbochannel.harness import (ConfigError, Scenario,
                                   count_frequency_changes, emit_csv,
                                   load_scenario, noise_change_histogram,
-                                  parse_csv, parse_scenario_config,
+                                  parse_scenario_config,
                                   plan_marking_cores, plan_threshold,
                                   probe_core_count, record_packet_outcomes,
                                   run_one, run_scenario)
@@ -57,9 +62,7 @@ class TestPlanning:
 
     @pytest.mark.parametrize("field, value", [
         ("max_retries", -1), ("jitter_sigma", -0.1), ("jitter_sigma", float("nan")),
-        ("jitter_sigma", float("inf")), ("ops_per_cycle", 0.0),
-        ("ops_per_cycle", -1.0), ("ops_per_cycle", float("nan")),
-        ("ops_per_cycle", float("inf"))])
+        ("jitter_sigma", float("inf"))])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             scenario(**{field: value})
@@ -262,3 +265,27 @@ bit_time_ms = 7
     def test_garbage_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_scenario_config("this is not a key value line")
+
+
+class TestReadmeConfigSection:
+    """README's "Scenario config format" section is the config reference."""
+
+    @staticmethod
+    def _section():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return text.split("## Scenario config format", 1)[1].split("\n## ", 1)[0]
+
+    def test_both_blocks_parse(self):
+        blocks = re.findall(r"```\n(.*?)```", self._section(), re.S)
+        assert len(blocks) == 2
+        example, inline = (parse_scenario_config(b) for b in blocks)
+        assert (example.name, example.policy) == ("idle-7ms", XEON)
+        assert inline.policy.levels == ((2, 3 * GHZ), (4, 2_700_000_000),
+                                        (8, 2_100_000_000))
+
+    def test_every_key_is_documented(self):
+        # a key shown only in a comment (bit_times_ms) counts
+        section = self._section()
+        missing = [key for key in harness._KEYS
+                   if not re.search(rf"(?<![\w.]){re.escape(key)} = ", section)]
+        assert missing == []

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import BinarySampleStream, classify, demodulate, reject_glitches
 
-from turbochannel.modem import (HIGH, LOW, BinarySampleStream, ModemConfig,
-                                StreamAssembler, classify, classify_array,
-                                default_threshold, demodulate, modulate,
-                                reject_glitches)
+from turbochannel.modem import (HIGH, LOW, ModemConfig, StreamAssembler,
+                                classify_array, default_threshold, modulate)
 from turbochannel.phy import SampleSeries, SimulatedChannel
 from turbochannel.turbo import DomainError, builtin_policy
 
@@ -58,20 +57,28 @@ class TestClassify:
             miss[i] = True
         return SampleSeries(0, 1_000, np.asarray(counts, dtype=np.int64), miss)
 
+    @staticmethod
+    def classify(series, threshold):
+        """The oracle's stream, after checking classify_array agrees with it."""
+        stream = classify(series, threshold)
+        codes = {HIGH: 1, LOW: 0, None: -1}
+        assert classify_array(series, threshold).tolist() == [codes[v] for v in stream.values]
+        return stream
+
     def test_all_above(self):
-        s = classify(self._series([3_000_000] * 4), 2_850_000)
+        s = self.classify(self._series([3_000_000] * 4), 2_850_000)
         assert s.values == [HIGH] * 4
 
     def test_alternating(self):
-        s = classify(self._series([3_000_000, 2_700_000] * 3), 2_850_000)
+        s = self.classify(self._series([3_000_000, 2_700_000] * 3), 2_850_000)
         assert s.values == [HIGH, LOW] * 3
 
     def test_tie_breaks_low(self):
-        s = classify(self._series([2_850_000]), 2_850_000.0)
+        s = self.classify(self._series([2_850_000]), 2_850_000.0)
         assert s.values == [LOW]
 
     def test_missing_stays_missing(self):
-        s = classify(self._series([3_000_000, 0, 3_000_000], missing=[1]), 1_000)
+        s = self.classify(self._series([3_000_000, 0, 3_000_000], missing=[1]), 1_000)
         assert s.values == [HIGH, None, HIGH]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import frequency_at, samples
 from strategies import noise_profiles
 
 from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
@@ -158,9 +159,7 @@ class TestSampleFrequency:
 
     @pytest.mark.parametrize("field, value", [
         ("jitter_sigma", -0.1), ("jitter_sigma", float("nan")),
-        ("jitter_sigma", float("inf")), ("ops_per_cycle", 0.0),
-        ("ops_per_cycle", -1.0), ("ops_per_cycle", float("nan")),
-        ("ops_per_cycle", float("inf"))])
+        ("jitter_sigma", float("inf"))])
     def test_out_of_range_scales_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
             quiet_sim(**{field: value})
@@ -180,7 +179,7 @@ class TestTimelineConsistency:
         sim.truncate_core_after(0, 20_000)
         tr = sim.frequency_trace(0, 50_000)
         # one core active until 20 ms, then none: stays at top either way
-        assert tr.frequency_at(10_000) == 3_000_000_000
+        assert frequency_at(tr, 10_000) == 3_000_000_000
 
     def test_cut_through_a_preemption_and_committed_activity(self):
         sim = quiet_sim(preempt_intervals={"sender": [(10_000, 20_000)]})
@@ -286,7 +285,7 @@ def _per_suspension_reference(sim, series, suspensions):
                                        for ps, pe in suspensions)
         covered = any(ps <= ws and we <= pe for ps, pe in suspensions)
         counts.append(0 if covered
-                      else int(np.rint(max(total, 0) * (sim.ops_per_cycle / 1e6))))
+                      else int(np.rint(max(total, 0) * 1e-6)))
         missing.append(covered)
     return counts, missing
 
@@ -302,17 +301,15 @@ class TestSuspendedSampling:
                                 max_size=8),
            busy=st.lists(st.tuples(st.integers(3, 7), st.integers(0, 60_000),
                                    st.integers(1, 20_000)), max_size=6),
-           ops_per_cycle=st.sampled_from([1.0, 0.37]),
            window=st.sampled_from([500, 1_000, 1_700]),
            phase=st.sampled_from([0.0, 0.5]) | st.floats(0, 1, exclude_max=True),
            span=st.tuples(st.integers(0, 10_000), st.integers(30_000, 70_000)))
     def test_matches_the_per_suspension_reference(self, suspensions, busy,
-                                                  ops_per_cycle, window, phase, span):
+                                                  window, phase, span):
         # whole-millisecond starts and half-millisecond lengths make
         # suspensions overlap and, on a grid in phase, meet window bounds
         suspensions = [(s, s + length) for s, length in suspensions]
         sim = SimulatedChannel(XEON, self.HORIZON, tx_core_count=2, jitter_sigma=0.0,
-                               ops_per_cycle=ops_per_cycle,
                                preempt_intervals={"receiver": suspensions})
         sim._grid_frac["receiver"] = phase
         sim.commit_core(0, 0, self.HORIZON)  # park the package next to a level bound
@@ -389,7 +386,7 @@ class TestWindowIntegrals:
 class TestSampleSeries:
     def test_samples_view(self):
         s = SampleSeries(0, 100, np.array([5, 7]), np.array([False, True]))
-        assert s.samples == [(0, 5), (100, None)]
+        assert samples(s) == [(0, 5), (100, None)]
 
 
 def _starts(horizon):

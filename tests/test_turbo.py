@@ -381,14 +381,6 @@ class TestGenerateNoise:
             assert prefix == [iv for iv in short_ivs if iv[1] < 1_000_000] or \
                 prefix == short_ivs
 
-    def test_vm_interrupt_events_on_given_cores(self):
-        profile = NoiseProfile("vm-interrupts", seed=1, interrupt_rate=50.0)
-        trace = generate_noise(profile, 1_000_000, 8, cores=[3])
-        assert trace.total_intervals() > 10
-        for core in range(8):
-            if core != 3:
-                assert trace.intervals(core) == []
-
     def test_noise_only_touches_allowed_cores(self):
         profile = NoiseProfile("idle-background", seed=2)
         trace = generate_noise(profile, 1_000_000, 8, cores=[6, 7])
@@ -481,16 +473,8 @@ class TestNoiseStream:
             NoiseProfile("idle-background", event_rates=rates)
         NoiseProfile("idle-background", event_rates={1: 5e5, 2: 5e5})
 
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 1e12, -1.0])
-    def test_interrupt_rate_is_bounded(self, rate):
-        # nan fails the first draw; an unbounded rate keeps every
-        # preemption at time 0 without end
-        with pytest.raises(DomainError):
-            NoiseProfile("vm-interrupts", interrupt_rate=rate)
-        NoiseProfile("vm-interrupts", interrupt_rate=1e6)
-
     def test_inverted_duration_bounds_rejected(self):
         with pytest.raises(DomainError):
-            NoiseProfile("vm-interrupts", preempt_min_us=5_000, preempt_max_us=4_000)
+            NoiseProfile("custom", toggle_min_us=5_000, toggle_max_us=4_000)
         with pytest.raises(DomainError):
             NoiseProfile("custom", toggle_min_us=0)
