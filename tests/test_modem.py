@@ -58,7 +58,7 @@ class TestClassify:
         return SampleSeries(0, 1_000, np.asarray(counts, dtype=np.int64), miss)
 
     @staticmethod
-    def classify(series, threshold):
+    def _classify(series, threshold):
         """The oracle's stream, after checking classify_array agrees with it."""
         stream = classify(series, threshold)
         codes = {HIGH: 1, LOW: 0, None: -1}
@@ -66,19 +66,19 @@ class TestClassify:
         return stream
 
     def test_all_above(self):
-        s = self.classify(self._series([3_000_000] * 4), 2_850_000)
+        s = self._classify(self._series([3_000_000] * 4), 2_850_000)
         assert s.values == [HIGH] * 4
 
     def test_alternating(self):
-        s = self.classify(self._series([3_000_000, 2_700_000] * 3), 2_850_000)
+        s = self._classify(self._series([3_000_000, 2_700_000] * 3), 2_850_000)
         assert s.values == [HIGH, LOW] * 3
 
     def test_tie_breaks_low(self):
-        s = self.classify(self._series([2_850_000]), 2_850_000.0)
+        s = self._classify(self._series([2_850_000]), 2_850_000.0)
         assert s.values == [LOW]
 
     def test_missing_stays_missing(self):
-        s = self.classify(self._series([3_000_000, 0, 3_000_000], missing=[1]), 1_000)
+        s = self._classify(self._series([3_000_000, 0, 3_000_000], missing=[1]), 1_000)
         assert s.values == [HIGH, None, HIGH]
 
 
