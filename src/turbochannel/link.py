@@ -30,16 +30,22 @@ CRC_POLY = 0x1021
 CRC_INIT = 0xFFFF
 
 
+def _shift_byte(reg: int) -> int:
+    """The register after eight bit steps, with nothing fed in."""
+    for _ in range(8):
+        reg = ((reg << 1) ^ CRC_POLY if reg & 0x8000 else reg << 1) & 0xFFFF
+    return reg
+
+
+# the register a byte's eight steps leave, by the top byte xor the data byte
+_CRC_TABLE = [_shift_byte(top << 8) for top in range(256)]
+
+
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE; crc16(b"123456789") == 0x29B1."""
     reg = CRC_INIT
     for byte in data:
-        reg ^= byte << 8
-        for _ in range(8):
-            if reg & 0x8000:
-                reg = ((reg << 1) ^ CRC_POLY) & 0xFFFF
-            else:
-                reg = (reg << 1) & 0xFFFF
+        reg = (reg << 8 & 0xFFFF) ^ _CRC_TABLE[reg >> 8 ^ byte]
     return reg
 
 

@@ -9,6 +9,7 @@ shared clock.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,22 +49,12 @@ class ModemConfig:
 
 def modulate(bits: str, cfg: ModemConfig, tx_cores: int = 1,
              start_us: int = 0) -> TxSchedule:
-    """Turn a bit string into wake/sleep marks, merging equal-bit runs."""
+    """Turn a bit string into wake/sleep marks: one mark per run of 1s."""
     if not bits or set(bits) - {"0", "1"}:
         raise DomainError("bits must be a non-empty string of 0/1")
-    entries = []
-    run_start = None
-    for i, b in enumerate(bits):
-        if b == "1" and run_start is None:
-            run_start = i
-        elif b == "0" and run_start is not None:
-            entries.append((start_us + run_start * cfg.bit_time_us,
-                            start_us + i * cfg.bit_time_us))
-            run_start = None
-    if run_start is not None:
-        entries.append((start_us + run_start * cfg.bit_time_us,
-                        start_us + len(bits) * cfg.bit_time_us))
-    return TxSchedule(tuple(entries), tx_cores)
+    bit = cfg.bit_time_us
+    return TxSchedule(tuple([(start_us + run.start() * bit, start_us + run.end() * bit)
+                             for run in re.finditer("1+", bits)]), tx_cores)
 
 
 def classify_array(series: SampleSeries, threshold: float) -> np.ndarray:

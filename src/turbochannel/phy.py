@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,8 @@ MIN_WINDOW_US = 100
 # a noise expansion moves the frontier on by at least this much (about 1 s),
 # so that queries just past the frontier do not each expand noise
 _MIN_FRONTIER_STEP_US = 1 << 20
+
+_NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,11 @@ class SimulatedChannel:
     Core layout: transmit cores first, then the receiver's core, the rest is
     the pool for background noise. Background noise is expanded on demand:
     only as far as the furthest time a frequency query has reached (plus
-    geometric headroom), never over the whole horizon up front. Must be
-    driven from a single thread; distinct instances are independent.
+    geometric headroom), never over the whole horizon up front. A core's
+    activity comes from three sources kept apart: its noise, its commits
+    and (on a sampling core) its process's suspensions; a query unions them
+    only over its own span (``_activity``). Must be driven from a single
+    thread; distinct instances are independent.
     """
 
     def __init__(self, policy: TurboPolicy, horizon_us: int, *,
@@ -131,9 +138,8 @@ class SimulatedChannel:
         self.ack_cores = (rx_core,) + tx_cores[1:ack_core_count]
         self.noise_pool = tuple(range(rx_core + 1, policy.core_count))
 
-        # static background activity: preemptions now, noise as it is read
-        self._static: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
-                                          for _ in range(policy.core_count)]
+        # background noise of each core, coalesced, merged in as it is read
+        self._static: list[np.ndarray] = [_NO_ROWS] * policy.core_count
         # creating the streams checks the profiles; a pinned channel never
         # reads them. Each stream keeps the part of its last block that
         # starts at or after the frontier.
@@ -142,30 +148,27 @@ class SimulatedChannel:
         self._pending: list[NoiseBlock | None] = [None] * len(self._noise)
         self._frontier = 0  # every noise interval starting before it is in _static
 
-        # preemption streams: suspensions of the covert processes; the core
-        # keeps running (another task owns it), so they also count as activity
-        self._preempts: dict[str, np.ndarray] = {}
+        # suspensions of the covert processes, sorted by start, with the
+        # furthest end reached so far (one may end inside another). The
+        # sampling core keeps running (another task owns it), so they also
+        # count as its activity.
+        self._suspensions: dict[str, list[tuple[int, int]]] = {}
+        self._reach: dict[str, list[int]] = {}
+        self._anchored = {tx_cores[0]: "sender", rx_core: "receiver"}
         rates = {"sender": sender_preempt_rate, "receiver": receiver_preempt_rate}
-        anchor = {"sender": tx_cores[0], "receiver": rx_core}
         for role, rate in rates.items():
             if preempt_intervals and role in preempt_intervals:
-                ivs = np.asarray(sorted(preempt_intervals[role]), dtype=np.int64).reshape(-1, 2)
+                rows = sorted((int(s), int(e)) for s, e in preempt_intervals[role])
             else:
-                ivs = self._draw_preempts(role, rate, preempt_min_us, preempt_max_us)
-            self._preempts[role] = ivs
-            self._static[anchor[role]] = _merge_suffix(self._static[anchor[role]], ivs)
+                rows = self._draw_preempts(role, rate, preempt_min_us, preempt_max_us)
+            self._suspensions[role] = rows
+            self._reach[role] = list(accumulate((e for _, e in rows), max))
 
-        # committed (dynamic) activity, kept apart from the static activity so
-        # late truncation stays possible. A commit waits in _queued until the
-        # core is read, then joins _merged (static and committed activity,
-        # coalesced) and waits in _unfolded until a truncation folds it into
-        # _committed. While a core has no commits, _merged[core] is
-        # _static[core] itself.
-        self._queued: list[list[tuple[int, int]]] = [[] for _ in range(policy.core_count)]
-        self._unfolded: list[list[np.ndarray]] = [[] for _ in range(policy.core_count)]
-        self._committed: list[np.ndarray] = [np.empty((0, 2), dtype=np.int64)
-                                             for _ in range(policy.core_count)]
-        self._merged: list[np.ndarray] = list(self._static)
+        # committed activity of each core: sorted, coalesced start and end
+        # columns, kept apart from noise and suspensions so that a truncation
+        # clips only them
+        self._starts: list[list[int]] = [[] for _ in range(policy.core_count)]
+        self._ends: list[list[int]] = [[] for _ in range(policy.core_count)]
 
         self._jitter = {
             "sender": np.random.default_rng([seed, 1]),
@@ -176,17 +179,16 @@ class SimulatedChannel:
 
     # -- timeline -----------------------------------------------------------
 
-    def _draw_preempts(self, role: str, rate: float, lo: int, hi: int) -> np.ndarray:
+    def _draw_preempts(self, role: str, rate: float, lo: int, hi: int) -> list[tuple[int, int]]:
         rng = random.Random(f"preempt:{role}:{self.seed}")
-        out = [(t, min(t + rng.randint(lo, hi), self.horizon_us))
-               for t in _poisson_events(rng, rate, self.horizon_us)]
-        return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+        return [(t, min(t + rng.randint(lo, hi), self.horizon_us))
+                for t in _poisson_events(rng, rate, self.horizon_us)]
 
     def _expand_noise(self, end_us: int):
-        """Merge into ``_static`` (and ``_merged``) every noise interval
-        starting before a new frontier >= ``end_us``. The frontier at least
-        doubles each time, and each merge re-coalesces only the intervals
-        from the old frontier on and those reaching past it."""
+        """Merge into ``_static`` every noise interval starting before a new
+        frontier >= ``end_us``. The frontier at least doubles each time, and
+        each merge re-coalesces only the intervals from the old frontier on
+        and those reaching past it."""
         frontier = min(self.horizon_us,
                        max(end_us, 2 * self._frontier, self._frontier + _MIN_FRONTIER_STEP_US))
         fresh: list[NoiseBlock] = []
@@ -203,11 +205,7 @@ class SimulatedChannel:
             self._pending[i] = block
         self._frontier = frontier
         for core, ivs in _by_core(fresh, self.noise_pool):
-            static = self._static[core]
-            self._static[core] = _merge_suffix(static, ivs)
-            merged = self._merged[core]
-            self._merged[core] = (self._static[core] if merged is static
-                                  else _merge_suffix(merged, ivs))
+            self._static[core] = _merge_suffix(self._static[core], ivs)
 
     def commit_core(self, core: int, start_us: int, end_us: int):
         """Record that a core is active on [start, end); overlaps are unioned."""
@@ -215,46 +213,61 @@ class SimulatedChannel:
             return
         if not 0 <= start_us < end_us <= self.horizon_us:
             raise DomainError("activity outside the simulation horizon")
-        self._queued[core].append((start_us, end_us))
+        starts, ends = self._starts[core], self._ends[core]
+        if not ends or start_us > ends[-1]:  # in order: a new last row
+            starts.append(start_us)
+            ends.append(end_us)
+            return
+        # the rows it touches or overlaps become one row; with none, it is
+        # inserted between them
+        i = bisect_left(ends, start_us)
+        j = bisect_right(starts, end_us, i)
+        if i < j:
+            start_us, end_us = min(start_us, starts[i]), max(end_us, ends[j - 1])
+        starts[i:j] = [start_us]
+        ends[i:j] = [end_us]
 
     def truncate_core_after(self, core: int, t_us: int):
         """Clip this core's committed activity at t (the process stopped its
-        current phase early); background noise is untouched."""
-        merged = self._core_intervals(core)
-        committed = self._committed[core]
-        if self._unfolded[core]:
-            committed = _merge_suffix(committed, np.concatenate(self._unfolded[core]))
-            self._unfolded[core] = []
-        if not len(committed) or committed[-1, 1] <= t_us:
-            self._committed[core] = committed
-            return
-        # rows starting before t stay; only the last of them can reach past t
-        n = int(np.searchsorted(committed[:, 0], t_us, side="left"))
-        committed = committed[:n].copy()
-        if n:
-            committed[-1, 1] = min(int(committed[-1, 1]), t_us)
-        self._committed[core] = committed
-        # merged intervals ending at or before t keep their rows. Every row
-        # lies inside one merged interval, so the rows from the first merged
-        # interval ending after t on rebuild the rest; committed rows there
-        # follow the kept intervals with a gap, so only static rows need merging
-        k = int(np.searchsorted(merged[:, 1], t_us, side="right"))
-        start = merged[k, 0]
-        static = self._static[core]
-        kept = np.concatenate([merged[:k],
-                               committed[int(np.searchsorted(committed[:, 0], start)):]])
-        rest = static[int(np.searchsorted(static[:, 0], start)):]
-        self._merged[core] = _merge_suffix(kept, rest)
+        current phase early); its noise and suspensions are kept apart and
+        are untouched."""
+        starts, ends = self._starts[core], self._ends[core]
+        n = bisect_left(starts, t_us)  # rows starting before t stay
+        del starts[n:], ends[n:]
+        if n and ends[-1] > t_us:
+            ends[-1] = t_us
 
-    def _core_intervals(self, core: int) -> np.ndarray:
-        """Static and committed activity of a core, sorted and coalesced."""
-        queued = self._queued[core]
-        if queued:
-            rows = np.array(queued, dtype=np.int64)
-            self._merged[core] = _merge_suffix(self._merged[core], rows)
-            self._unfolded[core].append(rows)
-            self._queued[core] = []
-        return self._merged[core]
+    def _activity(self, core: int, t0: int, t1: int) -> np.ndarray:
+        """A core's activity on [t0, t1), coalesced and clipped to the span:
+        its noise, its commits and, on a sampling core, its process's
+        suspensions. The rows are coalesced only where more than one source,
+        or a suspension (they may overlap), reaches the span."""
+        parts = []
+        noise = self._static[core]
+        if len(noise):  # most pool cores of a quiet channel hold none
+            noise = noise[noise[:, 1].searchsorted(t0, side="right"):
+                          noise[:, 0].searchsorted(t1, side="left")]
+            if len(noise):
+                parts.append(noise.copy())
+        starts, ends = self._starts[core], self._ends[core]
+        i, j = bisect_right(ends, t0), bisect_left(starts, t1)
+        if i < j:
+            parts.append(np.array((starts[i:j], ends[i:j]), dtype=np.int64).T)
+        role = self._anchored.get(core)
+        suspended = False
+        if role is not None:
+            held = self._suspensions[role]
+            # (t1,) sorts before every row that starts at t1
+            lo, hi = bisect_right(self._reach[role], t0), bisect_left(held, (t1,))
+            if suspended := lo < hi:
+                parts.append(np.array(held[lo:hi], dtype=np.int64))
+        if not parts:
+            return _NO_ROWS
+        rows = _coalesce(np.concatenate(parts)) if suspended or len(parts) > 1 else parts[0]
+        # coalesced rows are disjoint, so only the outer two can cross the span
+        rows[0, 0] = max(rows[0, 0], t0)
+        rows[-1, 1] = min(rows[-1, 1], t1)
+        return rows
 
     # -- frequency ----------------------------------------------------------
 
@@ -273,14 +286,9 @@ class SimulatedChannel:
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
         while True:
             t0 = max(0, start_us - lookback)
-            spans = [np.empty((0, 2), dtype=np.int64)]
-            for iv in map(self._core_intervals, range(policy.core_count)):
-                if len(iv):  # most pool cores of a quiet channel hold none
-                    spans.append(iv[iv[:, 1].searchsorted(t0, side="right"):
-                                    iv[:, 0].searchsorted(end_us, side="left")])
-            live = np.concatenate(spans)
-            times, counts = step_function(np.maximum(live[:, 0], t0),
-                                          np.minimum(live[:, 1], end_us), t0)
+            live = np.concatenate([self._activity(core, t0, end_us)
+                                   for core in range(policy.core_count)])
+            times, counts = step_function(live[:, 0], live[:, 1], t0)
             segments, exact_from = pcu_walk(policy, times, counts, end_us)
             if exact_from is not None and exact_from <= start_us:
                 break
@@ -297,18 +305,17 @@ class SimulatedChannel:
                              anchor_us: int) -> list[int]:
         """Map process-progress times to wall times: progress pauses while the
         process is preempted, so every later transition slips by the overlap."""
-        preempts = self._preempts[role]
+        rows = self._suspensions[role]
         out = []
         delay = 0
-        idx = 0
-        # skip preemptions that ended before the anchor
-        while idx < len(preempts) and preempts[idx][1] <= anchor_us:
-            idx += 1
-        j = idx
+        # skip suspensions that ended before the anchor: the first to end
+        # after it is the first whose reach passes it
+        j = bisect_right(self._reach[role], anchor_us)
         for x in times:
-            while j < len(preempts) and preempts[j][0] <= x + delay:
+            while j < len(rows) and rows[j][0] <= x + delay:
                 # only the part of the suspension after the anchor stalls progress
-                delay += int(preempts[j][1] - max(int(preempts[j][0]), anchor_us))
+                s, e = rows[j]
+                delay += e - max(s, anchor_us)
                 j += 1
             out.append(x + delay)
         return out
@@ -392,11 +399,10 @@ class SimulatedChannel:
         # the loop runs at frequency * (1 - depth), where depth counts the
         # suspensions in force; suspensions are sorted by start, and their
         # ends only by prefix maximum, since one may end inside another
-        preempts = self._preempts[role]
-        lo = int(np.searchsorted(np.maximum.accumulate(preempts[:, 1]), t0, side="right"))
-        hi = int(np.searchsorted(preempts[:, 0], t1, side="left"))
+        rows, reach = self._suspensions[role], self._reach[role]
+        lo, hi = bisect_right(reach, t0), bisect_left(rows, (t1,))
         if lo < hi:  # some suspension may overlap the span
-            live = np.clip(preempts[lo:hi], t0, t1)
+            live = np.clip(np.array(rows[lo:hi], dtype=np.int64), t0, t1)
             depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
             # merge the two breakpoint lists by sorting (np.unique would
             # import numpy.ma, 1.6 MB, on its first call)
@@ -405,9 +411,10 @@ class SimulatedChannel:
             rate = (seg_f[np.searchsorted(seg_t, rate_t, side="right") - 1]
                     * (1 - depth[np.searchsorted(depth_t, rate_t, side="right") - 1]))
             # a window is missing when one suspension starting at or before
-            # it reaches its end
-            reach = np.maximum.accumulate(np.append(t0, live[:, 1]))
-            missing = reach[np.searchsorted(live[:, 0], bounds[:-1], side="right")] >= bounds[1:]
+            # it reaches its end: the furthest end so far tells (every bound
+            # lies at or before t1, so that end needs no clipping)
+            furthest = np.array([t0] + reach[lo:hi], dtype=np.int64)
+            missing = furthest[live[:, 0].searchsorted(bounds[:-1], side="right")] >= bounds[1:]
         integrals = _window_integrals(rate_t, rate, bounds)
 
         counts = integrals * 1e-6  # Hz*us to cycles
@@ -420,12 +427,9 @@ class SimulatedChannel:
 
 
 def _merge_suffix(merged: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Union of coalesced ``merged`` and any ``rows``, coalesced. Intervals
-    of ``merged`` ending before the earliest row starts cannot meet a row,
-    so only the suffix from there on is re-coalesced; with no rows,
-    ``merged`` itself is returned."""
-    if len(rows) == 0:
-        return merged
+    """Union of coalesced ``merged`` and one or more ``rows``, coalesced.
+    Intervals of ``merged`` ending before the earliest row starts cannot
+    meet a row, so only the suffix from there on is re-coalesced."""
     # the first interval ending at or after the earliest start: touching merges
     k = int(np.searchsorted(merged[:, 1], rows[:, 0].min(), side="left"))
     suffix = _coalesce(np.concatenate([merged[k:], rows]) if k < len(merged) else rows)

@@ -3,7 +3,9 @@
 Nothing in the simulator calls these. They are written for reading rather
 than speed: the batch demodulator decodes a whole classified stream at
 once, in one pass per step, and is ``StreamAssembler``'s oracle; the
-helpers below it read traces, sample series and CSV files back.
+transmit-path loops step bit by bit or suspension by suspension, as
+``crc16``, ``modulate`` and ``shift_for_preemption`` once did; the helpers
+below them read traces, sample series and CSV files back.
 """
 
 from dataclasses import dataclass, field
@@ -119,6 +121,57 @@ def demodulate(stream: BinarySampleStream, cfg: ModemConfig) -> str:
         count = max(1, (n + cfg.oversampling // 2) // cfg.oversampling)
         bits.append(("0" if v == HIGH else "1") * count)
     return "".join(bits)
+
+
+# -- transmit path ---------------------------------------------------------------
+
+def crc16_bitwise(data: bytes, poly: int = 0x1021, init: int = 0xFFFF) -> int:
+    """CRC-16/CCITT-FALSE, one register step per data bit."""
+    reg = init
+    for byte in data:
+        reg ^= byte << 8
+        for _ in range(8):
+            if reg & 0x8000:
+                reg = ((reg << 1) ^ poly) & 0xFFFF
+            else:
+                reg = (reg << 1) & 0xFFFF
+    return reg
+
+
+def modulate_entries(bits: str, bit_time_us: int, start_us: int = 0) -> tuple:
+    """The [start, end) marks of each run of 1s, found bit by bit."""
+    entries = []
+    run_start = None
+    for i, b in enumerate(bits):
+        if b == "1" and run_start is None:
+            run_start = i
+        elif b == "0" and run_start is not None:
+            entries.append((start_us + run_start * bit_time_us, start_us + i * bit_time_us))
+            run_start = None
+    if run_start is not None:
+        entries.append((start_us + run_start * bit_time_us,
+                        start_us + len(bits) * bit_time_us))
+    return tuple(entries)
+
+
+def shift_for_preemption(suspensions: Sequence[tuple[int, int]], times: Sequence[int],
+                         anchor_us: int) -> list[int]:
+    """Progress times to wall times over suspensions sorted by start. The
+    scan skips, from the first on, every suspension that ends by the anchor;
+    then each one that starts by a slipped time adds its part after the
+    anchor to the delay (overlapping ones each add theirs)."""
+    out = []
+    delay = 0
+    idx = 0
+    while idx < len(suspensions) and suspensions[idx][1] <= anchor_us:
+        idx += 1
+    j = idx
+    for x in times:
+        while j < len(suspensions) and suspensions[j][0] <= x + delay:
+            delay += suspensions[j][1] - max(suspensions[j][0], anchor_us)
+            j += 1
+        out.append(x + delay)
+    return out
 
 
 # -- readers ----------------------------------------------------------------------

@@ -1,0 +1,27 @@
+"""The interleaved A/B timing tool runs end to end."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_compare.py"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_a_checkout_against_itself_writes_identical_outputs():
+    done = _run(ROOT, ROOT, "quiet-link", 1)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [f"A {ROOT}", f"B {ROOT}"]
+    assert "of 60 operations, 1 repeats; outputs identical" in lines[2]
+
+
+def test_the_configs_workload_is_refused():
+    done = _run(ROOT, ROOT, "configs", 1)
+    assert done.returncode == 1
+    assert "Not configs" in done.stderr

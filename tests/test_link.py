@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import crc16_bitwise
 
 from turbochannel.harness import Scenario, build_simulation
 from turbochannel.link import (ACK_BITS, FRAME_BITS, SYNC_WORD, ArqReceiver,
@@ -47,6 +48,11 @@ class TestCrc16:
         for _ in range(200):
             data = rng.randbytes(rng.randint(0, 32))
             assert crc16(data) == crc16_reference(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=300))
+    def test_table_agrees_with_the_bitwise_loop(self, data):
+        assert crc16(data) == crc16_bitwise(data)
 
     def test_single_bit_flips_always_detected(self):
         rng = random.Random(2)

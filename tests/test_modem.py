@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BinarySampleStream, classify, demodulate, reject_glitches
+from oracles import (BinarySampleStream, classify, demodulate, modulate_entries,
+                     reject_glitches)
 
 from turbochannel.modem import (HIGH, LOW, ModemConfig, StreamAssembler,
                                 classify_array, default_threshold, modulate)
@@ -41,6 +42,17 @@ class TestModulate:
         cfg = ModemConfig(bit_time_us=7_000, threshold=1.0, oversampling=7)
         sched = modulate("10101100", cfg)
         assert sched.entries == ((0, 7_000), (14_000, 21_000), (28_000, 42_000))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.text("01", min_size=1, max_size=200),
+           bit_time=st.integers(1, 10_000).map(lambda k: 3 * k),
+           start=st.integers(0, 10**9),
+           tx_cores=st.integers(1, 3))
+    def test_runs_match_the_bit_by_bit_loop(self, bits, bit_time, start, tx_cores):
+        cfg = ModemConfig(bit_time_us=bit_time, threshold=1.0, oversampling=3)
+        sched = modulate(bits, cfg, tx_cores=tx_cores, start_us=start)
+        assert sched.entries == modulate_entries(bits, bit_time, start)
+        assert sched.tx_cores == tx_cores
 
     def test_rejects_bad_bits(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import frequency_at, samples
 from strategies import noise_profiles
 
@@ -19,6 +20,11 @@ from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
 GHZ = 1_000_000_000
+
+
+def whole_activity(sim, core):
+    """A core's activity over the whole horizon, as [start, end) rows."""
+    return sim._activity(core, 0, sim.horizon_us).tolist()
 
 
 def quiet_sim(**kw):
@@ -43,16 +49,16 @@ class TestTransmit:
     def test_empty_schedule_empty_trace(self):
         sim = quiet_sim()
         assert sim.transmit(sim.sender, TxSchedule((), 2)) == []
-        assert all(len(sim._core_intervals(core)) == 0 for core in range(8))
+        assert all(len(whole_activity(sim, core)) == 0 for core in range(8))
 
     def test_marks_activate_all_tx_cores(self):
         sim = quiet_sim()
         entries = sim.transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
         assert entries == [(0, 7_000)]
-        assert sim._core_intervals(0).tolist() == [[0, 7_000]]
-        assert sim._core_intervals(1).tolist() == [[0, 7_000]]
+        assert whole_activity(sim, 0) == [[0, 7_000]]
+        assert whole_activity(sim, 1) == [[0, 7_000]]
         active = [core for core in range(8)
-                  if any(s <= 3_000 < e for s, e in sim._core_intervals(core))]
+                  if any(s <= 3_000 < e for s, e in whole_activity(sim, core))]
         assert active == [0, 1]
 
     def test_receiver_cannot_transmit(self):
@@ -72,15 +78,50 @@ class TestTransmit:
                                anchor_us=0)
         assert entries == [(8_000, 15_000)]
         # the suspended core keeps running another task
-        assert sim._core_intervals(0).tolist() == [[4_000, 7_000], [8_000, 15_000]]
-        assert sim._core_intervals(1).tolist() == [[8_000, 15_000]]
+        assert whole_activity(sim, 0) == [[4_000, 7_000], [8_000, 15_000]]
+        assert whole_activity(sim, 1) == [[8_000, 15_000]]
 
     def test_preemption_before_anchor_ignored(self):
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
         entries = sim.transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
                                anchor_us=9_000)
         assert entries == [(10_000, 12_000)]
-        assert sim._core_intervals(1).tolist() == [[10_000, 12_000]]
+        assert whole_activity(sim, 1) == [[10_000, 12_000]]
+
+
+class TestShiftForPreemption:
+    @settings(max_examples=300, deadline=None)
+    @given(role=st.sampled_from(["sender", "receiver"]),
+           suspensions=st.lists(st.tuples(st.integers(0, 30).map(lambda k: k * 1_000)
+                                          | st.integers(0, 40_000),
+                                          st.integers(1, 12).map(lambda k: k * 1_000)
+                                          | st.integers(1, 15_000)),
+                                max_size=8),
+           data=st.data())
+    def test_matches_the_scan_from_the_first_suspension(self, role, suspensions, data):
+        # whole-millisecond starts and lengths nest and overlap suspensions,
+        # and put anchors and progress times on their bounds
+        suspensions = sorted((s, s + length) for s, length in suspensions)
+        inside = [st.integers(s, e) for s, e in suspensions]
+        anchor = data.draw(st.one_of(st.integers(0, 60_000), *inside))
+        times = sorted(data.draw(st.lists(st.integers(0, 40_000).map(anchor.__add__)
+                                          | st.one_of(st.integers(0, 80_000), *inside),
+                                          max_size=12)))
+        sim = quiet_sim(preempt_intervals={role: suspensions})
+        assert (sim.shift_for_preemption(times, role, anchor)
+                == oracles.shift_for_preemption(suspensions, times, anchor))
+
+    @pytest.mark.parametrize("suspensions, anchor, progress, wall", [
+        # a suspension nested in one that started before the anchor adds
+        # its end minus the anchor, a negative delay: 25000 by their union
+        ([(0, 10_000), (2_000, 3_000)], 5_000, 20_000, 23_000),
+        # a nested one adds its whole length again: 11000 by their union
+        ([(0, 10_000), (2_000, 8_000)], 0, 1_000, 17_000),
+    ])
+    def test_nested_suspensions_each_add_their_own_delay(self, suspensions, anchor,
+                                                        progress, wall):
+        sim = quiet_sim(preempt_intervals={"sender": suspensions})
+        assert sim.shift_for_preemption([progress], "sender", anchor) == [wall]
 
 
 class TestSampleFrequency:
@@ -185,13 +226,53 @@ class TestTimelineConsistency:
         sim = quiet_sim(preempt_intervals={"sender": [(10_000, 20_000)]})
         sim.commit_core(0, 5_000, 30_000)
         sim.commit_core(0, 40_000, 50_000)
-        assert sim._core_intervals(0).tolist() == [[5_000, 30_000], [40_000, 50_000]]
+        assert whole_activity(sim, 0) == [[5_000, 30_000], [40_000, 50_000]]
         sim.truncate_core_after(0, 15_000)
         # the preempting task keeps the core running past the cut
-        assert sim._core_intervals(0).tolist() == [[5_000, 20_000]]
+        assert whole_activity(sim, 0) == [[5_000, 20_000]]
         sim.commit_core(0, 25_000, 26_000)
         sim.truncate_core_after(0, 12_000)
-        assert sim._core_intervals(0).tolist() == [[5_000, 20_000]]
+        assert whole_activity(sim, 0) == [[5_000, 20_000]]
+
+    def test_cut_at_a_row_start_drops_the_row_and_at_its_end_keeps_it(self):
+        sim = quiet_sim()
+        for start, end in [(1_000, 2_000), (3_000, 4_000), (5_000, 6_000)]:
+            sim.commit_core(1, start, end)
+        sim.truncate_core_after(1, 5_000)
+        assert whole_activity(sim, 1) == [[1_000, 2_000], [3_000, 4_000]]
+        sim.truncate_core_after(1, 4_000)
+        sim.truncate_core_after(1, 3_000)
+        assert whole_activity(sim, 1) == [[1_000, 2_000]]
+        sim.truncate_core_after(1, 0)
+        assert whole_activity(sim, 1) == []
+
+    def test_out_of_order_commit_bridging_two_rows_leaves_one(self):
+        sim = quiet_sim()
+        for start, end in [(20_000, 30_000), (0, 10_000), (5_000, 25_000)]:
+            sim.commit_core(1, start, end)
+        assert (sim._starts[1], sim._ends[1]) == ([0], [30_000])
+        # rows that only touch it are bridged too
+        for start, end in [(40_000, 50_000), (60_000, 70_000), (50_000, 60_000)]:
+            sim.commit_core(1, start, end)
+        assert (sim._starts[1], sim._ends[1]) == ([0, 40_000], [30_000, 70_000])
+
+    def test_repeated_commit_changes_nothing(self):
+        # the sender commits its listen span again when it samples it
+        sim = quiet_sim()
+        for start, end in [(0, 10_000), (20_000, 30_000), (20_000, 30_000),
+                           (0, 10_000), (22_000, 28_000)]:
+            sim.commit_core(0, start, end)
+        assert (sim._starts[0], sim._ends[0]) == ([0, 20_000], [10_000, 30_000])
+
+    def test_suspension_over_a_commit_counts_the_core_once(self):
+        # core 0 holds the package at the top level with the receiver's
+        # core; a third active core would pull it down to 2.7 GHz
+        sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 20_000)]})
+        sim.commit_core(0, 0, 50_000)
+        sim.commit_core(sim.receiver.sampling_core, 15_000, 25_000)
+        assert sim._activity(2, 12_000, 22_000).tolist() == [[12_000, 22_000]]
+        assert sim.frequency_trace(12_000, 22_000).segments.tolist() == [
+            [12_000, 3 * GHZ]]
 
     def test_noise_profiles_feed_the_timeline(self):
         profile = NoiseProfile("constant-load", constant_cores=4)
@@ -436,13 +517,13 @@ class TestLazyNoise:
     @given(profiles=st.lists(noise_profiles(), min_size=1, max_size=3),
            ends=st.lists(st.integers(1, 20_000_000), max_size=6))
     def test_split_expansion_equals_one_full_draw(self, profiles, ends):
-        # after each expansion, a core holds its preemptions and exactly the
-        # drawn intervals that start before the frontier
+        # after each expansion, a core's noise is exactly the drawn
+        # intervals that start before the frontier (its suspensions are kept
+        # apart)
         horizon = 20_000_000
         sim = SimulatedChannel(XEON, horizon, tx_core_count=2, noise=profiles,
                                seed=11, sender_preempt_rate=3.0,
                                receiver_preempt_rate=3.0)
-        preempted = list(sim._static)
         drawn = [np.column_stack(b) for p in profiles
                  for b in noise_stream(p, horizon, 8, sim.noise_pool)]
         on, starts, stops = np.concatenate([np.empty((0, 3), np.int64), *drawn]).T
@@ -450,8 +531,7 @@ class TestLazyNoise:
             sim._expand_noise(end)
             for core in range(8):
                 read = (on == core) & (starts < sim._frontier)
-                expected = np.concatenate([preempted[core],
-                                           np.column_stack([starts[read], stops[read]])])
+                expected = np.column_stack([starts[read], stops[read]])
                 assert sim._static[core].tolist() == _coalesce(expected).tolist()
         assert sim._frontier == horizon
 
@@ -500,8 +580,8 @@ def _union(a, b):
 
 class _RebuiltTimeline:
     """The timeline as it was before it was merged incrementally: each read
-    sorts a core's whole committed list and unions it with the static
-    activity, and a truncation walks the whole list."""
+    sorts a core's whole committed list and unions it with the core's noise
+    and its process's suspensions, and a truncation walks the whole list."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -515,8 +595,11 @@ class _RebuiltTimeline:
         self.committed[core] = [(s, min(e, t)) for s, e in self.committed[core] if s < t]
 
     def intervals(self, core):
-        dyn = np.asarray(sorted(self.committed[core]), dtype=np.int64).reshape(-1, 2)
-        return _union(self.sim._static[core], dyn)
+        dyn = sorted(self.committed[core])
+        if core in self.sim._anchored:
+            dyn += self.sim._suspensions[self.sim._anchored[core]]
+        return _union(self.sim._static[core],
+                      np.asarray(dyn, dtype=np.int64).reshape(-1, 2))
 
 
 class TestIncrementalTimeline:
@@ -532,11 +615,12 @@ class TestIncrementalTimeline:
         cores = st.integers(0, 7)
 
         def time_near(core):
-            # at, next to or around this core's committed and static bounds,
-            # so commits touch and overlap out of order and cuts land before,
-            # inside and after its activity; or anywhere on the horizon
+            # at, next to or around the bounds of this core's commits and of
+            # all its activity, so commits touch and overlap out of order and
+            # cuts land before, inside and after its activity; or anywhere on
+            # the horizon
             bounds = [t for row in ref.committed[core] for t in row]
-            bounds += sim._static[core][:200].ravel().tolist()
+            bounds += [t for row in whole_activity(sim, core)[:200] for t in row]
             near = st.builds(int.__add__, st.sampled_from(bounds),
                              st.sampled_from([0, -1, 1]) | st.integers(-3_000, 3_000))
             t = data.draw(near | _starts(self.HORIZON) if bounds else _starts(self.HORIZON))
@@ -563,4 +647,4 @@ class TestIncrementalTimeline:
                     sim.truncate_core_after(core, t)
                     ref.truncate(core, t)
             for core in range(8):
-                assert sim._core_intervals(core).tolist() == ref.intervals(core).tolist()
+                assert whole_activity(sim, core) == ref.intervals(core).tolist()

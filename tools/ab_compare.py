@@ -1,0 +1,60 @@
+"""Time a workload of two checkouts, interleaved in one process:
+``python3 tools/ab_compare.py CHECKOUT_A CHECKOUT_B WORKLOAD REPEATS``.
+
+Each checkout's perfbench/workloads.py, with its src/turbochannel, is its own
+module set; each operation runs on both in turn, the first side alternating
+per repeat. Prints each side's sweep time and median operation (medians over
+the repeats), how many operations B ran faster and whether the outputs match.
+Not configs: cli imports harness at call time and would see the last set only.
+"""
+
+import importlib.util
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def load(checkout: Path, tag: str):
+    """The checkout's workloads module, over a fresh turbochannel import."""
+    for name in [m for m in sys.modules if m.partition(".")[0] == "turbochannel"]:
+        del sys.modules[name]
+    spec = importlib.util.spec_from_file_location(f"wl_{tag}", checkout / "perfbench/workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 4 or argv[2] not in ("load-sweep", "slow-ramp", "quiet-link"):
+        sys.exit(__doc__)
+    paths, workload, repeats = dict(zip("AB", argv[:2])), argv[2], int(argv[3])
+    modules = {tag: load(Path(p).resolve(), tag) for tag, p in paths.items()}
+    sides = {tag: m.build(workload, m.DEFAULT_SEED) for tag, m in modules.items()}
+    n = len(sides["A"].operations)
+    ms = {tag: [[] for _ in range(n)] for tag in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {tag: Path(tempfile.mkdtemp(dir=tmp)) for tag in sides}
+        for r in range(repeats):
+            for i in range(n):
+                for tag in ("AB" if r % 2 == 0 else "BA"):
+                    t = time.perf_counter()
+                    sides[tag].operations[i].run(outs[tag], outs[tag])
+                    ms[tag][i].append((time.perf_counter() - t) * 1e3)
+            for tag, w in sides.items():
+                w.finish(outs[tag])  # writes the CSVs and drops the collected rows
+        same = modules["A"].digest_tree(outs["A"]) == modules["B"].digest_tree(outs["B"])
+    med = {tag: [statistics.median(m) for m in ms[tag]] for tag in sides}
+    for tag, p in paths.items():
+        sweep = statistics.median(map(sum, zip(*ms[tag]))) / 1e3
+        print(f"{tag} {p}: sweep {sweep:.3f} s, "
+              f"median operation {statistics.median(med[tag]):.2f} ms")
+    faster = sum(x < y for x, y in zip(med["B"], med["A"]))
+    print(f"{workload}: B faster on {faster} of {n} operations, {repeats} repeats; "
+          f"outputs {'identical' if same else 'DIFFER'}")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
