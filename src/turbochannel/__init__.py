@@ -10,9 +10,8 @@ runs seeded experiment scenarios from config files (also via the
 
 from .fec import (FecModel, PacketOutcome, byte_errors, estimate_goodput,
                   rs_correctable)
-from .harness import (Scenario, ScenarioReport, count_frequency_changes,
-                      emit_csv, load_scenario, noise_change_histogram,
-                      run_scenario)
+from .harness import (Scenario, ScenarioReport, emit_csv, load_scenario,
+                      noise_change_histogram, run_scenario)
 from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, ArqReceiver,
                    ArqSender, LinkConfig, TransferFailed, TransferStats, crc16,
                    decode_frame, encode_frame, next_frame, pad_payload,

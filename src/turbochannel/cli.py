@@ -105,13 +105,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_noise_histogram(args) -> int:
     scenario = _load(args)
-    totals: dict[int, float] = {}
-    horizon_us = args.horizon_ms * 1000
-    for i in range(args.runs):
-        profile = NoiseProfile("idle-background", seed=i + 1)
-        for ms, n in noise_change_histogram(scenario.policy, profile,
-                                            horizon_us).items():
-            totals[ms] = totals.get(ms, 0.0) + n
+    profiles = (NoiseProfile("idle-background", seed=i + 1) for i in range(args.runs))
+    totals = noise_change_histogram(scenario.policy, profiles, args.horizon_ms * 1000)
     lines = ["duration_ms,mean_events_per_run,runs"]
     for ms in sorted(totals):
         lines.append(f"{ms},{totals[ms] / args.runs:.6f},{args.runs}")

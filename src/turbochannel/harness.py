@@ -12,7 +12,9 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from . import fec as fec_mod
 from .link import (FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, LinkConfig,
@@ -22,7 +24,7 @@ from .modem import (ModemConfig, StreamAssembler, classify_array,
                     default_threshold, modulate)
 from .phy import SimulatedChannel
 from .turbo import (MAX_EVENT_RATE, US_PER_MS, ActivityTrace, DomainError,
-                    FrequencyTrace, NoiseProfile, TurboPolicy, apply_policy,
+                    NoiseProfile, TurboPolicy, apply_policy,
                     builtin_policy, builtin_policy_names, generate_noise,
                     turbo_frequency)
 
@@ -305,25 +307,8 @@ def run_scenario(s: Scenario) -> ScenarioReport:
 
 # -- frequency-change accounting ------------------------------------------------
 
-def count_frequency_changes(trace: FrequencyTrace) -> dict[int, int]:
-    """Histogram of dips below the trace's top frequency, bucketed in ms."""
-    top = trace.max_frequency()
-    hist: dict[int, int] = {}
-    dip_start = None
-    for start, freq in trace.segments.tolist():
-        if freq < top and dip_start is None:
-            dip_start = start
-        elif freq == top and dip_start is not None:
-            _bucket(hist, start - dip_start)
-            dip_start = None
-    if dip_start is not None:
-        _bucket(hist, trace.horizon_us - dip_start)
-    return hist
-
-
-def _bucket(hist: dict[int, int], duration_us: int):
-    ms = (2 * duration_us + 1000) // 2000  # round half up to ms resolution
-    hist[ms] = hist.get(ms, 0) + 1
+# noise rows one histogram walk takes at most, so memory does not grow with the runs
+_WALK_ROWS = 1 << 11
 
 
 def probe_core_count(policy: TurboPolicy) -> int:
@@ -332,31 +317,77 @@ def probe_core_count(policy: TurboPolicy) -> int:
     return policy.levels[0][0]
 
 
-def noise_change_histogram(policy: TurboPolicy, profile: NoiseProfile,
+def noise_change_histogram(policy: TurboPolicy, profiles: Iterable[NoiseProfile],
                            horizon_us: int) -> dict[int, int]:
-    """Frequency-dip histogram a measurement probe would record for one
-    expansion of the noise profile.
+    """Frequency-dip histogram a measurement probe would record, summed over
+    one expansion of each noise profile.
 
     Each noise-carrying core is evaluated against the steady probe
     separately: background wakeups are independent events, and counting them
     per source core keeps two cores' simultaneous wakeups from blurring into
-    one long dip.
+    one long dip. A dip still open at the horizon is cut there.
     """
     probe = probe_core_count(policy)
-    pool = [c for c in range(probe, policy.core_count)]
+    pool = range(probe, policy.core_count)
     if not pool:
         raise ConfigError("policy has no spare cores for a noise histogram")
-    noise = generate_noise(profile, horizon_us, policy.core_count, pool)
+    noises = (generate_noise(p, horizon_us, policy.core_count, pool) for p in profiles)
+    row_sets = (rows for noise in noises for rows in map(noise.rows, pool) if len(rows))
     hist: dict[int, int] = {}
-    probed = ActivityTrace(policy.core_count, horizon_us,
-                           {c: [(0, horizon_us)] for c in range(probe)})
-    for core in pool:
-        if not noise.interval_count(core):
-            continue
-        trace = apply_policy(policy, probed.with_core(core, noise))
-        for ms, n in count_frequency_changes(trace).items():
-            hist[ms] = hist.get(ms, 0) + n
+    for batch in _batches(row_sets, _WALK_ROWS):
+        dips = _slot_dips(policy, batch, horizon_us)
+        ms, counts = np.unique((2 * dips + 1000) // 2000, return_counts=True)  # half up
+        for m, n in zip(ms.tolist(), counts.tolist()):
+            hist[m] = hist.get(m, 0) + n
     return hist
+
+
+def _batches(row_sets: Iterable[np.ndarray], cap: int) -> Iterator[list[np.ndarray]]:
+    """Consecutive row sets, grouped up to ``cap`` rows (a larger set alone)."""
+    batch, rows = [], 0
+    for r in row_sets:
+        if batch and rows + len(r) > cap:
+            yield batch
+            batch, rows = [], 0
+        batch.append(r)
+        rows += len(r)
+    if batch:
+        yield batch
+
+
+def _slot_dips(policy: TurboPolicy, row_sets: list[np.ndarray],
+               horizon_us: int) -> np.ndarray:
+    """Durations (us) of the dips below each row set's top, from one walk: set
+    i is shifted into slot i of one timeline, with the probe cores active over
+    all of it. A slot lasts the horizon, the recovery delay and two periods,
+    in whole periods, so each starts on a tick at the top level with no ramp
+    pending, as a walk from time 0 does."""
+    probe = probe_core_count(policy)
+    period = policy.pcu_period_us
+    slot = -(-(horizon_us + policy.recovery_delay_us + 2 * period) // period) * period
+    origins = np.arange(len(row_sets)) * slot
+    total = len(row_sets) * slot
+    raw = [np.empty((0, 2), dtype=np.int64)] * policy.core_count
+    raw[:probe] = [np.array([[0, total]], dtype=np.int64)] * probe
+    raw[probe] = np.concatenate(row_sets) + np.repeat(origins, list(map(len, row_sets)))[:, None]
+    trace = apply_policy(policy, ActivityTrace(policy.core_count, total, _raw=raw))
+    times, freqs = trace.segments.T
+    # each slot's segments from the one in effect at its start, then a last
+    # entry at its horizon that ends a dip still open there
+    first = times.searchsorted(origins, "right") - 1
+    n = times.searchsorted(origins + horizon_us) - first + 1
+    heads = np.cumsum(n) - n
+    last = heads + n - 1
+    idx = np.arange(n.sum()) + np.repeat(first - heads, n)
+    idx[last] -= 1  # the segment in effect at the horizon, again
+    starts = np.maximum(times[idx], np.repeat(origins, n))
+    starts[last] = origins + horizon_us
+    f = freqs[idx]
+    below = f < np.repeat(np.maximum.reduceat(f, heads), n)
+    below[last] = False
+    # a dip runs from a step below its slot's top to the next step back up
+    edges = starts[np.diff(below, prepend=False)]
+    return edges[1::2] - edges[::2]
 
 
 def scenario_noise_histogram(s: Scenario, seed: int,
@@ -364,7 +395,7 @@ def scenario_noise_histogram(s: Scenario, seed: int,
     if not s.idle_noise or s.countermeasure in ("turbo-off", "cstate-restricted"):
         return {}
     profile = NoiseProfile("idle-background", seed=seed)
-    return noise_change_histogram(s.policy, profile, horizon_us)
+    return noise_change_histogram(s.policy, [profile], horizon_us)
 
 
 # -- one-way packet recording (feeds the fec analysis) ---------------------------

@@ -190,6 +190,9 @@ class ActivityTrace:
     def intervals(self, core: int) -> list[tuple[int, int]]:
         return [(int(s), int(e)) for s, e in self._per_core[core]]
 
+    def rows(self, core: int) -> np.ndarray:
+        return self._per_core[core]
+
     def interval_count(self, core: int) -> int:
         return len(self._per_core[core])
 

@@ -4,8 +4,9 @@ Nothing in the simulator calls these. They are written for reading rather
 than speed: the batch demodulator decodes a whole classified stream at
 once, in one pass per step, and is ``StreamAssembler``'s oracle; the
 transmit-path loops step bit by bit or suspension by suspension, as
-``crc16``, ``modulate`` and ``shift_for_preemption`` once did; the helpers
-below them read traces, sample series and CSV files back.
+``crc16``, ``modulate`` and ``shift_for_preemption`` once did; the noise histogram walks each (profile, core) probe trace on its
+own, as ``harness.noise_change_histogram`` once did; the helpers below them
+read traces, sample series and CSV files back.
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
+from turbochannel.harness import ConfigError, probe_core_count
 from turbochannel.modem import HIGH, ModemConfig
 from turbochannel.phy import SampleSeries
-from turbochannel.turbo import DomainError, FrequencyTrace
+from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
+                                NoiseProfile, TurboPolicy, apply_policy,
+                                generate_noise)
 
 
 # -- batch demodulator -----------------------------------------------------------
@@ -172,6 +176,50 @@ def shift_for_preemption(suspensions: Sequence[tuple[int, int]], times: Sequence
             j += 1
         out.append(x + delay)
     return out
+
+
+# -- noise histogram -------------------------------------------------------------
+
+def count_frequency_changes(trace: FrequencyTrace) -> dict[int, int]:
+    """Histogram of dips below the trace's top frequency, bucketed in ms."""
+    top = trace.max_frequency()
+    hist: dict[int, int] = {}
+    dip_start = None
+    for start, freq in trace.segments.tolist():
+        if freq < top and dip_start is None:
+            dip_start = start
+        elif freq == top and dip_start is not None:
+            _bucket(hist, start - dip_start)
+            dip_start = None
+    if dip_start is not None:
+        _bucket(hist, trace.horizon_us - dip_start)
+    return hist
+
+
+def _bucket(hist: dict[int, int], duration_us: int):
+    ms = (2 * duration_us + 1000) // 2000  # round half up to ms resolution
+    hist[ms] = hist.get(ms, 0) + 1
+
+
+def noise_change_histogram(policy: TurboPolicy, profile: NoiseProfile,
+                           horizon_us: int) -> dict[int, int]:
+    """Dip histogram of one profile: one PCU walk per noise-carrying pool
+    core, over that core's noise plus the steady probe, each probe trace
+    built from tuple lists and checked on the way in."""
+    probe = probe_core_count(policy)
+    pool = list(range(probe, policy.core_count))
+    if not pool:
+        raise ConfigError("policy has no spare cores for a noise histogram")
+    noise = generate_noise(profile, horizon_us, policy.core_count, pool)
+    hist: dict[int, int] = {}
+    for core in pool:
+        if noise.intervals(core):
+            ivs = {c: [(0, horizon_us)] for c in range(probe)}
+            ivs[core] = noise.intervals(core)
+            trace = apply_policy(policy, ActivityTrace(policy.core_count, horizon_us, ivs))
+            for ms, n in count_frequency_changes(trace).items():
+                hist[ms] = hist.get(ms, 0) + n
+    return hist
 
 
 # -- readers ----------------------------------------------------------------------

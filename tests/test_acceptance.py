@@ -282,7 +282,7 @@ def test_c09_noise_histogram_calibration():
         ones = []
         for seed in range(1, 101):
             profile = NoiseProfile("idle-background", seed=seed)
-            hist = noise_change_histogram(XEON, profile, 1_000_000)
+            hist = noise_change_histogram(XEON, [profile], 1_000_000)
             totals.append(sum(hist.values()))
             ones.append(hist.get(1, 0))
         mean_total = sum(totals) / len(totals)

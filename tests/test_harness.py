@@ -1,26 +1,27 @@
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import parse_csv
+import oracles
+from oracles import count_frequency_changes, parse_csv
 from strategies import noise_profiles
 
 from turbochannel import harness
 from turbochannel.fec import rs_correctable
-from turbochannel.harness import (ConfigError, Scenario,
-                                  count_frequency_changes, emit_csv,
+from turbochannel.harness import (ConfigError, Scenario, emit_csv,
                                   load_scenario, noise_change_histogram,
                                   parse_scenario_config,
                                   plan_marking_cores, plan_threshold,
                                   probe_core_count, record_packet_outcomes,
                                   run_one, run_scenario)
 from turbochannel.turbo import (ActivityTrace, FrequencyTrace, NoiseProfile,
-                                apply_policy, builtin_policy, generate_noise,
-                                turbo_frequency)
+                                builtin_policy, turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
+RYZEN = builtin_policy("ryzen-2700x-like")
 GHZ = 1_000_000_000
 
 
@@ -95,7 +96,7 @@ class TestNoiseHistogram:
         ones = []
         for seed in range(1, 21):
             profile = NoiseProfile("idle-background", seed=seed)
-            hist = noise_change_histogram(XEON, profile, 1_000_000)
+            hist = noise_change_histogram(XEON, [profile], 1_000_000)
             totals.append(sum(hist.values()))
             ones.append(hist.get(1, 0))
         mean_total = sum(totals) / len(totals)
@@ -106,29 +107,61 @@ class TestNoiseHistogram:
     def test_durations_preserved(self):
         profile = NoiseProfile("idle-background", seed=3,
                                event_rates={4: 30.0})
-        hist = noise_change_histogram(XEON, profile, 1_000_000)
+        hist = noise_change_histogram(XEON, [profile], 1_000_000)
         assert set(hist) == {4}
 
     def test_probe_sits_at_the_top_level_bound(self):
         assert probe_core_count(XEON) == 2
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([XEON, builtin_policy("ryzen-2700x-like")]),
-           noise_profiles(max_cores=6), st.integers(1, 2_000_000))
-    def test_matches_probe_traces_built_from_tuples(self, policy, profile, horizon):
-        # reference: each probe trace from tuple lists, checked on the way in
-        probe = probe_core_count(policy)
-        pool = list(range(probe, policy.core_count))
-        noise = generate_noise(profile, horizon, policy.core_count, pool)
+    @given(st.sampled_from([XEON, RYZEN]), st.data(),
+           st.sampled_from([1, 999, 1000, 1001]) | st.integers(1, 2_000_000))
+    def test_matches_probe_traces_built_from_tuples(self, policy, data, horizon):
+        # up to 40 profiles, so that the row cap splits them over several walks
+        kinds = noise_profiles(max_cores=6) | _idle(_LONG_EVENTS)
+        if horizon <= 10_000:  # a pool core awake at every tick: a top below the policy's
+            kinds |= _idle(_EVERY_TICK)
+        profiles = data.draw(st.lists(kinds, min_size=1, max_size=40))
+        # the row cap a walk takes, lowered so that short cases split too
+        cap = data.draw(st.sampled_from([1, 64, harness._WALK_ROWS]))
+        # reference: each (profile, pool core) probe trace walked on its own
         expected: dict[int, int] = {}
-        for core in pool:
-            if noise.intervals(core):
-                ivs = {c: [(0, horizon)] for c in range(probe)}
-                ivs[core] = noise.intervals(core)
-                trace = apply_policy(policy, ActivityTrace(policy.core_count, horizon, ivs))
-                for ms, n in count_frequency_changes(trace).items():
-                    expected[ms] = expected.get(ms, 0) + n
-        assert noise_change_histogram(policy, profile, horizon) == expected
+        for profile in profiles:
+            for ms, n in oracles.noise_change_histogram(policy, profile, horizon).items():
+                expected[ms] = expected.get(ms, 0) + n
+        with mock.patch.object(harness, "_WALK_ROWS", cap):
+            assert noise_change_histogram(policy, profiles, horizon) == expected
+
+    @pytest.mark.parametrize("policy, horizon, rows, expected", [
+        # the middle slot dips from its tick at 995 ms to the 999.2 ms
+        # horizon: 4.2 ms, bucket 4. Walked on, it would last to the tick at
+        # 1000 ms, bucket 5
+        (XEON, 999_200, [[(10_000, 12_000)], [(995_000, 999_200)], [(500_000, 507_000)]],
+         {2: 1, 4: 1, 7: 1}),
+        # the first slot's ramp from 905 ms fires 400 ms later, past its
+        # horizon: its dip is cut at 100 ms, and the second slot still
+        # starts at the top, so its dip lasts 2 ms plus the 400 ms ramp
+        (RYZEN, 1_000_000, [[(900_000, 905_000)], [(10_000, 12_000)]], {100: 1, 402: 1}),
+    ])
+    def test_each_slot_is_cut_at_its_horizon(self, monkeypatch, policy, horizon, rows,
+                                             expected):
+        # one probe trace per profile, each with noise on pool core 2 only
+        noise = [ActivityTrace(8, horizon, {2: ivs}) for ivs in rows]
+        monkeypatch.setattr(harness, "generate_noise", lambda profile, *_: noise[profile.seed])
+        profiles = [NoiseProfile("idle-background", seed=i) for i in range(len(rows))]
+        assert noise_change_histogram(policy, profiles, horizon) == expected
+
+
+# idle-background rate tables for the slot walk: 400 ms wakeups, so that a
+# slow-ramp policy still ramps at a slot's horizon, and wakeups at every
+# microsecond on average, so that a pool core is awake at every tick
+_LONG_EVENTS = {400: 3.0}
+_EVERY_TICK = {1: 1e6}
+
+
+def _idle(rates):
+    return st.builds(NoiseProfile, st.just("idle-background"),
+                     seed=st.integers(0, 10_000), event_rates=st.just(rates))
 
 
 class TestRunScenario:

@@ -3,9 +3,12 @@
 
 Each checkout's perfbench/workloads.py, with its src/turbochannel, is its own
 module set; each operation runs on both in turn, the first side alternating
-per repeat. Prints each side's sweep time and median operation (medians over
-the repeats), how many operations B ran faster and whether the outputs match.
-Not configs: cli imports harness at call time and would see the last set only.
+per repeat. Before each operation the ``turbochannel`` entries of
+``sys.modules`` point at that side's set, so an import made at call time (as
+cli makes) finds its own checkout, and each side reads the workload's input
+files from its own directory. Prints each side's sweep time and median
+operation (medians over the repeats), how many operations B ran faster and
+whether the outputs match.
 """
 
 import importlib.util
@@ -16,31 +19,44 @@ import time
 from pathlib import Path
 
 
+def turbochannel_modules() -> dict:
+    return {name: m for name, m in sys.modules.items()
+            if name.partition(".")[0] == "turbochannel"}
+
+
 def load(checkout: Path, tag: str):
-    """The checkout's workloads module, over a fresh turbochannel import."""
-    for name in [m for m in sys.modules if m.partition(".")[0] == "turbochannel"]:
+    """The checkout's workloads module over a fresh turbochannel import, and
+    the turbochannel modules of that import."""
+    for name in turbochannel_modules():
         del sys.modules[name]
     spec = importlib.util.spec_from_file_location(f"wl_{tag}", checkout / "perfbench/workloads.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    return module, turbochannel_modules()
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 4 or argv[2] not in ("load-sweep", "slow-ramp", "quiet-link"):
+    if len(argv) != 4 or argv[2] not in ("load-sweep", "slow-ramp", "quiet-link", "configs"):
         sys.exit(__doc__)
     paths, workload, repeats = dict(zip("AB", argv[:2])), argv[2], int(argv[3])
-    modules = {tag: load(Path(p).resolve(), tag) for tag, p in paths.items()}
+    modules, module_sets = {}, {}
+    for tag, p in paths.items():
+        modules[tag], module_sets[tag] = load(Path(p).resolve(), tag)
     sides = {tag: m.build(workload, m.DEFAULT_SEED) for tag, m in modules.items()}
     n = len(sides["A"].operations)
     ms = {tag: [[] for _ in range(n)] for tag in sides}
     with tempfile.TemporaryDirectory() as tmp:
         outs = {tag: Path(tempfile.mkdtemp(dir=tmp)) for tag in sides}
+        ins = {tag: Path(tempfile.mkdtemp(dir=tmp)) for tag in sides}
+        for tag, w in sides.items():
+            for file_name, text in w.inputs.items():
+                (ins[tag] / file_name).write_text(text)
         for r in range(repeats):
             for i in range(n):
                 for tag in ("AB" if r % 2 == 0 else "BA"):
+                    sys.modules.update(module_sets[tag])
                     t = time.perf_counter()
-                    sides[tag].operations[i].run(outs[tag], outs[tag])
+                    sides[tag].operations[i].run(ins[tag], outs[tag])
                     ms[tag][i].append((time.perf_counter() - t) * 1e3)
             for tag, w in sides.items():
                 w.finish(outs[tag])  # writes the CSVs and drops the collected rows
