@@ -14,11 +14,11 @@ from .harness import (Scenario, ScenarioReport, emit_csv, load_scenario,
                       noise_change_histogram, run_scenario)
 from .link import (ACK_BITS, FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, ArqReceiver,
                    ArqSender, LinkConfig, TransferFailed, TransferStats, crc16,
-                   decode_frame, encode_frame, next_frame, pad_payload,
-                   run_transfer, scan_ack)
+                   decode_frame, encode_frame, listen, next_frame,
+                   pad_payload, run_transfer, scan_ack)
 from .modem import (ModemConfig, StreamAssembler, classify_array,
                     default_threshold, modulate)
-from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel, TxSchedule
+from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, apply_policy, builtin_policy, generate_noise,
                     merge, turbo_frequency)

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import fec as fec_mod
 from .link import (FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, LinkConfig,
-                   TransferFailed, bytes_of_bits, encode_frame, next_frame,
-                   pad_payload, run_transfer)
-from .modem import (ModemConfig, StreamAssembler, classify_array,
-                    default_threshold, modulate)
+                   TransferFailed, bytes_of_bits, encode_frame, listen,
+                   next_frame, pad_payload, run_transfer)
+from .modem import ModemConfig, StreamAssembler, default_threshold, modulate
 from .phy import SimulatedChannel
 from .turbo import (MAX_EVENT_RATE, US_PER_MS, ActivityTrace, DomainError,
                     NoiseProfile, TurboPolicy, apply_policy,
@@ -138,7 +137,8 @@ class Scenario:
         lo, hi = self.preempt_duration_bounds()
         if not 0 <= lo <= hi:
             raise ConfigError(f"preemption bounds must satisfy 0 <= {lo} <= {hi}")
-        if self.max_retries is not None and self.max_retries < 0:
+        # the channel's horizon is sized for every retry, so they are bounded
+        if self.max_retries is None or self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
             raise ConfigError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
@@ -225,8 +225,7 @@ def _scenario_payload(size: int, seed: int) -> bytes:
 
 def _estimate_horizon(payload_len: int, cfg: LinkConfig) -> int:
     frames = payload_len // PAYLOAD_BYTES
-    attempts = (cfg.max_retries if cfg.max_retries is not None else 50) + 1
-    return frames * attempts * cfg.timeout_us + 3 * cfg.timeout_us + 1_000_000
+    return frames * (cfg.max_retries + 1) * cfg.timeout_us + 3 * cfg.timeout_us + 1_000_000
 
 
 def build_simulation(s: Scenario, bit_time_us: int, seed: int,
@@ -422,14 +421,11 @@ def record_packet_outcomes(s: Scenario, bit_time_us: int, seed: int,
         bits = encode_frame(i % 256, payload)
         frames.append(bits)
         start = t0 + i * slot_bits * bit_time_us
-        sched = modulate(bits, data_cfg, tx_cores=len(sim.sender.cores),
-                         start_us=start)
-        sim.transmit(sim.sender, sched, anchor_us=start)
+        sim.transmit(sim.sender.cores, modulate(bits, data_cfg, start), "sender", start)
 
     span_end = t0 + (packet_count * slot_bits + 8) * bit_time_us
-    series = sim.sample_frequency(sim.receiver, data_cfg.window_us, (0, span_end))
     asm = StreamAssembler(data_cfg)
-    asm.feed(classify_array(series, data_cfg.threshold), series.end_times())
+    listen(sim, sim.receiver, data_cfg, asm, (0, span_end))
     asm.end_segment(span_end)
     bits = "".join(asm.bits)
     times = asm.bit_times

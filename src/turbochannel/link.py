@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .modem import ModemConfig, StreamAssembler, classify_array, modulate
-from .phy import SimulatedChannel
+from .phy import ChannelEndpoint, SimulatedChannel
 from .turbo import DomainError
 
 SYNC_WORD = "10101100"
@@ -256,6 +256,17 @@ class ArqSender:
         return self.stats
 
 
+def listen(sim: SimulatedChannel, endpoint: ChannelEndpoint, cfg: ModemConfig,
+           asm: StreamAssembler, span: tuple[int, int]) -> tuple[str, list[int]]:
+    """Run the endpoint's counting loop over ``span``, classify each window
+    and feed ``asm``. Returns the bits this span added, with the times they
+    became known."""
+    series = sim.sample_frequency(endpoint, cfg.window_us, span)
+    fed = len(asm.bits)
+    asm.feed(classify_array(series, cfg.threshold), series.end_times())
+    return "".join(asm.bits[fed:]), asm.bit_times[fed:]
+
+
 def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
                  data_cfg: ModemConfig, ack_cfg: ModemConfig) -> tuple[TransferStats, bytes]:
     """Co-simulate one reliable transfer end to end.
@@ -273,7 +284,6 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
     sender = ArqSender(payload, link_cfg)
     receiver = ArqReceiver()
     rx_asm = StreamAssembler(data_cfg)
-    rx_fed = 0
     rx_pos = 0
     decode_slack = 4 * bit
     t = bit  # first frame starts one bit in
@@ -289,9 +299,7 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             raise DomainError("simulation horizon too small for this transfer")
 
         # sender marks the frame, then immediately starts listening
-        sched = modulate(frame_bits, data_cfg, tx_cores=len(sim.sender.cores),
-                         start_us=t)
-        sim.transmit(sim.sender, sched, anchor_us=t)
+        sim.transmit(sim.sender.cores, modulate(frame_bits, data_cfg, t), "sender", t)
         listen_start = min(sim.shift_for_preemption([nominal_end], "sender", t)[0],
                            deadline - 1)
         sim.commit_core(sim.sender.sampling_core, listen_start, deadline)
@@ -300,14 +308,8 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
         rx_chunk_end = min(max(nominal_end, listen_start) + decode_slack, deadline)
         ack_plan = None
         if rx_pos < rx_chunk_end:
-            series = sim.sample_frequency(sim.receiver, data_cfg.window_us,
-                                          (rx_pos, rx_chunk_end))
-            rx_asm.feed(classify_array(series, data_cfg.threshold),
-                        series.end_times())
-            new_bits = "".join(rx_asm.bits[rx_fed:])
-            new_times = rx_asm.bit_times[rx_fed:]
-            rx_fed = len(rx_asm.bits)
-            acks = receiver.feed(new_bits, new_times)
+            acks = receiver.feed(*listen(sim, sim.receiver, data_cfg, rx_asm,
+                                         (rx_pos, rx_chunk_end)))
             if acks:
                 ack_plan = acks[-1]
             rx_pos = rx_chunk_end
@@ -320,25 +322,20 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             ack_bits = encode_frame(seq)
             nominal_ack_end = ack_start + len(ack_bits) * bit
             if nominal_ack_end < sim.horizon_us:
-                ack_sched = modulate(ack_bits, ack_cfg, start_us=ack_start)
-                sim.transmit_marks(sim.ack_cores, ack_sched.entries,
-                                   "receiver", ack_start)
+                sim.transmit(sim.ack_cores, modulate(ack_bits, ack_cfg, ack_start),
+                             "receiver", ack_start)
                 rx_resume = sim.shift_for_preemption([nominal_ack_end],
                                                      "receiver", ack_start)[0]
             else:
                 rx_resume = sim.horizon_us
-            rx_asm.end_segment(decided)
-            rx_fed = len(rx_asm.bits)
+            rx_asm.end_segment(decided)  # the bits it closes never reach the receiver
             rx_pos = max(rx_pos, min(rx_resume, sim.horizon_us))
 
         # sender listens for the ack until the timeout
         ack_time = None
         if listen_start < deadline:
-            series = sim.sample_frequency(sim.sender, ack_cfg.window_us,
-                                          (listen_start, deadline))
             s_asm = StreamAssembler(ack_cfg)
-            s_asm.feed(classify_array(series, ack_cfg.threshold),
-                       series.end_times())
+            listen(sim, sim.sender, ack_cfg, s_asm, (listen_start, deadline))
             s_asm.end_segment(deadline)
             ack_time, corrupt = scan_ack("".join(s_asm.bits), s_asm.bit_times,
                                          sender.current_seq)

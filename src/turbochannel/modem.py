@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phy import SampleSeries, TxSchedule
+from .phy import SampleSeries
 from .turbo import DomainError, TurboPolicy
 
 HIGH = True   # count above threshold: few cores awake, transmitted 0
@@ -47,14 +47,14 @@ class ModemConfig:
         return self.bit_time_us // self.oversampling
 
 
-def modulate(bits: str, cfg: ModemConfig, tx_cores: int = 1,
-             start_us: int = 0) -> TxSchedule:
-    """Turn a bit string into wake/sleep marks: one mark per run of 1s."""
+def modulate(bits: str, cfg: ModemConfig, start_us: int = 0) -> tuple[tuple[int, int], ...]:
+    """Turn a bit string into wake/sleep marks, (start, end) in us: one mark
+    per run of 1s, so the marks are non-empty, sorted and disjoint."""
     if not bits or set(bits) - {"0", "1"}:
         raise DomainError("bits must be a non-empty string of 0/1")
     bit = cfg.bit_time_us
-    return TxSchedule(tuple([(start_us + run.start() * bit, start_us + run.end() * bit)
-                             for run in re.finditer("1+", bits)]), tx_cores)
+    return tuple([(start_us + run.start() * bit, start_us + run.end() * bit)
+                  for run in re.finditer("1+", bits)])
 
 
 def classify_array(series: SampleSeries, threshold: float) -> np.ndarray:

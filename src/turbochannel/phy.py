@@ -32,29 +32,6 @@ _MIN_FRONTIER_STEP_US = 1 << 20
 _NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class TxSchedule:
-    """On-off transmit marks: all ``tx_cores`` cores wake and sleep together."""
-
-    entries: tuple[tuple[int, int], ...]
-    tx_cores: int = 1
-
-    def __post_init__(self):
-        if self.tx_cores < 1:
-            raise DomainError("tx_cores must be >= 1")
-        prev_end = None
-        for s, e in self.entries:
-            if e <= s:
-                raise DomainError("empty or inverted schedule entry")
-            if prev_end is not None and s < prev_end:
-                raise DomainError("schedule entries must be sorted and disjoint")
-            prev_end = e
-
-    @property
-    def end_us(self) -> int:
-        return self.entries[-1][1] if self.entries else 0
-
-
 @dataclass
 class SampleSeries:
     """Counting-loop output: one count per fixed window, None where the
@@ -320,51 +297,27 @@ class SimulatedChannel:
             out.append(x + delay)
         return out
 
-    def transmit(self, endpoint: ChannelEndpoint, schedule: TxSchedule,
-                 anchor_us: int | None = None) -> list[tuple[int, int]]:
-        """Drive the transmit cores through a schedule and commit the activity.
+    def transmit(self, cores: Sequence[int], entries: Sequence[tuple[int, int]],
+                 role: str, anchor_us: int) -> list[tuple[int, int]]:
+        """Drive a core set through on-off marks and commit the activity:
+        the sender's cores for a frame, ``ack_cores`` for an ack.
 
-        Transitions are delayed by any preemption of the transmitting process.
-        Returns the committed wall-time entries, the same on every transmit
-        core.
+        Transitions are delayed by any preemption of the transmitting
+        process since ``anchor_us``, and marks are clipped at the horizon.
+        Returns the committed wall-time entries, the same on every core.
         """
-        if endpoint.role != "sender":
-            raise DomainError("transmit requires a sender endpoint")
-        if schedule.entries and schedule.end_us > self.horizon_us:
-            raise DomainError("schedule exceeds the simulation horizon")
-        if schedule.tx_cores > len(endpoint.cores):
-            raise DomainError("schedule uses more cores than the endpoint owns")
-        if not schedule.entries:
-            return []
-        anchor = schedule.entries[0][0] if anchor_us is None else anchor_us
-        flat = [t for entry in schedule.entries for t in entry]
-        shifted = self.shift_for_preemption(flat, "sender", anchor)
-        entries = [(shifted[i], min(shifted[i + 1], self.horizon_us))
-                   for i in range(0, len(shifted), 2)
-                   if shifted[i] < min(shifted[i + 1], self.horizon_us)]
-        cores = endpoint.cores[: schedule.tx_cores]
-        for s, e in entries:
-            for c in cores:
-                self.commit_core(c, s, e)
-        return entries
-
-    def transmit_marks(self, cores: Sequence[int], entries: Sequence[tuple[int, int]],
-                       role: str, anchor_us: int) -> int:
-        """Commit mark activity for an arbitrary core set (acknowledgement
-        path: the listening side's core plus idle helper cores). Returns the
-        wall time the last mark ends (or the anchor for all-zero payloads)."""
-        if not entries:
-            return anchor_us
-        flat = [t for entry in entries for t in entry]
-        shifted = self.shift_for_preemption(flat, role, anchor_us)
-        end = anchor_us
-        for i in range(0, len(shifted), 2):
-            s, e = shifted[i], min(shifted[i + 1], self.horizon_us)
-            end = max(end, e)
-            if s < self.horizon_us:
+        shifted = self.shift_for_preemption([t for entry in entries for t in entry],
+                                            role, anchor_us)
+        committed = []
+        for s, e in zip(shifted[::2], shifted[1::2]):
+            e = min(e, self.horizon_us)
+            if s < e:
+                committed.append((s, e))
                 for c in cores:
                     self.commit_core(c, s, e)
-        return end
+        return committed
+
+    transmit_marks = transmit  # only for perfbench's tracer, which wraps this name too
 
     def sample_frequency(self, endpoint: ChannelEndpoint, window_us: int,
                          span: tuple[int, int]) -> SampleSeries:

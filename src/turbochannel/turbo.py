@@ -155,7 +155,7 @@ class ActivityTrace:
     A core is "active" while inside one of its [start, end) intervals (i.e.
     not in a deep sleep state). Intervals per core are kept sorted, disjoint
     and clipped to [0, horizon). A trace never changes once built; its
-    arrays are read-only, so derived traces share them.
+    arrays are read-only, so cores may share one.
     """
 
     def __init__(self, core_count: int, horizon_us: int,
@@ -192,17 +192,6 @@ class ActivityTrace:
 
     def rows(self, core: int) -> np.ndarray:
         return self._per_core[core]
-
-    def interval_count(self, core: int) -> int:
-        return len(self._per_core[core])
-
-    def with_core(self, core: int, source: ActivityTrace) -> ActivityTrace:
-        """This trace with ``core``'s intervals replaced by ``source``'s."""
-        if source.core_count != self.core_count or source.horizon_us != self.horizon_us:
-            raise DomainError("with_core requires matching core_count and horizon")
-        raw = list(self._per_core)
-        raw[core] = source._per_core[core]
-        return ActivityTrace(self.core_count, self.horizon_us, _raw=raw)
 
     def total_intervals(self) -> int:
         return sum(len(a) for a in self._per_core)

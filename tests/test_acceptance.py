@@ -62,9 +62,7 @@ def test_c02_modem_round_trip():
             sim = SimulatedChannel(XEON, (len(wire) + 8) * bt,
                                    tx_core_count=2, seed=i, jitter_sigma=0.0)
             start = 2 * bt
-            sim.transmit(sim.sender,
-                         modulate(wire, cfg, tx_cores=2, start_us=start),
-                         anchor_us=start)
+            sim.transmit(sim.sender.cores, modulate(wire, cfg, start), "sender", start)
             end = start + (len(wire) + 3) * bt
             series = sim.sample_frequency(sim.receiver, cfg.window_us, (0, end))
             asm = StreamAssembler(cfg)

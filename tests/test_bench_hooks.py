@@ -44,3 +44,5 @@ def test_traced_quiet_run_reaches_every_hook():
     assert counts["phy.windows"] == 4173
     assert counts["modem.samples"] == 4173
     assert counts["modem.bits"] == 523
+    # two frames and two acks, every one through the traced transmit name
+    assert calls["phy.transmit"] == 4

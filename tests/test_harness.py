@@ -62,8 +62,8 @@ class TestPlanning:
             scenario(constant_cores=5, tx_cores=3)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_retries", -1), ("jitter_sigma", -0.1), ("jitter_sigma", float("nan")),
-        ("jitter_sigma", float("inf"))])
+        ("max_retries", -1), ("max_retries", None), ("jitter_sigma", -0.1),
+        ("jitter_sigma", float("nan")), ("jitter_sigma", float("inf"))])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             scenario(**{field: value})

@@ -9,8 +9,9 @@ from turbochannel.harness import Scenario, build_simulation
 from turbochannel.link import (ACK_BITS, FRAME_BITS, SYNC_WORD, ArqReceiver,
                                ArqSender, CrcFailureError, FrameError,
                                LinkConfig, TransferFailed, crc16, decode_frame,
-                               encode_frame, next_frame, pad_payload,
+                               encode_frame, listen, next_frame, pad_payload,
                                run_transfer, scan_ack)
+from turbochannel.modem import StreamAssembler, modulate
 from turbochannel.turbo import DomainError, builtin_policy
 
 XEON = builtin_policy("xeon-silver-4108")
@@ -401,3 +402,45 @@ class TestSimulatedTransfer:
         assert exc.value.stats.packets_sent == 2
         assert exc.value.stats.packets_delivered == 0
         assert exc.value.stats.wall_time_us > 0
+
+
+class TestListen:
+    def test_bits_closing_a_segment_are_left_out(self):
+        # the listen stops 0.7 ms into the last mark; closing the segment
+        # keeps that short run as a bit, which the next listen does not return
+        s = quiet_scenario(bit_times_us=(2_000,))
+        sim, _, cfg, _ = build_simulation(s, 2_000, 1, horizon_us=200_000)
+        sim.transmit(sim.sender.cores, modulate("1101", cfg, 2_000), "sender", 2_000)
+        asm = StreamAssembler(cfg)
+        assert (listen(sim, sim.receiver, cfg, asm, (0, 8_700))
+                == ("0110", [1_063, 3_063, 5_063, 7_063]))
+        asm.end_segment(8_700)
+        bits, times = listen(sim, sim.receiver, cfg, asm, (8_700, 20_000))
+        assert (bits, times[0]) == ("100000", 9_813)
+        assert "".join(asm.bits) == "0110" + "1" + bits
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), bits=st.text("01", min_size=1, max_size=40),
+           data=st.data())
+    def test_split_on_a_window_boundary_matches_one_listen(self, seed, bits, data):
+        """Listening up to a window boundary and on from it samples the same
+        windows, with the same jitter, as one listen over the whole span:
+        the two spans' bits and times make up the whole span's."""
+        s = Scenario(name="noisy", policy=XEON, bit_times_us=(2_000,),
+                     preempt_rx_rate=40.0, preempt_max_us=6_000)
+        start, bit = 3_000, 2_000
+        end = start + (len(bits) + 6) * bit
+        runs = []
+        for _ in range(2):
+            sim, _, cfg, _ = build_simulation(s, bit, seed, horizon_us=end + bit)
+            sim.transmit(sim.sender.cores, modulate(bits, cfg, start), "sender", start)
+            runs.append((sim, cfg, StreamAssembler(cfg)))
+        (whole_sim, cfg, whole_asm), (split_sim, _, split_asm) = runs
+        window = cfg.window_us
+        phase = int(split_sim._grid_frac["receiver"] * window)
+        cut = phase + window * data.draw(st.integers(1, (end - phase) // window - 1))
+
+        whole = listen(whole_sim, whole_sim.receiver, cfg, whole_asm, (0, end))
+        head = listen(split_sim, split_sim.receiver, cfg, split_asm, (0, cut))
+        tail = listen(split_sim, split_sim.receiver, cfg, split_asm, (cut, end))
+        assert whole == (head[0] + tail[0], head[1] + tail[1])

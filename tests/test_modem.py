@@ -31,28 +31,26 @@ def render(stream):
 
 class TestModulate:
     def test_single_one_bit(self):
-        sched = modulate("1", CFG8)
-        assert sched.entries == ((0, 8_000),)
+        assert modulate("1", CFG8) == ((0, 8_000),)
 
     def test_run_merging(self):
-        sched = modulate("1100", CFG8)
-        assert sched.entries == ((0, 16_000),)
+        assert modulate("1100", CFG8) == ((0, 16_000),)
 
     def test_sync_word_shape(self):
         cfg = ModemConfig(bit_time_us=7_000, threshold=1.0, oversampling=7)
-        sched = modulate("10101100", cfg)
-        assert sched.entries == ((0, 7_000), (14_000, 21_000), (28_000, 42_000))
+        assert modulate("10101100", cfg) == ((0, 7_000), (14_000, 21_000), (28_000, 42_000))
 
     @settings(max_examples=200, deadline=None)
     @given(bits=st.text("01", min_size=1, max_size=200),
            bit_time=st.integers(1, 10_000).map(lambda k: 3 * k),
-           start=st.integers(0, 10**9),
-           tx_cores=st.integers(1, 3))
-    def test_runs_match_the_bit_by_bit_loop(self, bits, bit_time, start, tx_cores):
+           start=st.integers(0, 10**9))
+    def test_runs_match_the_bit_by_bit_loop(self, bits, bit_time, start):
         cfg = ModemConfig(bit_time_us=bit_time, threshold=1.0, oversampling=3)
-        sched = modulate(bits, cfg, tx_cores=tx_cores, start_us=start)
-        assert sched.entries == modulate_entries(bits, bit_time, start)
-        assert sched.tx_cores == tx_cores
+        marks = modulate(bits, cfg, start)
+        assert marks == modulate_entries(bits, bit_time, start)
+        # every mark is non-empty, and the marks are sorted and disjoint
+        times = [t for mark in marks for t in mark]
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_rejects_bad_bits(self):
         with pytest.raises(DomainError):
@@ -234,8 +232,7 @@ class TestRoundTrip:
             sim = SimulatedChannel(XEON, 5_000_000, tx_core_count=2,
                                    seed=trial, jitter_sigma=0.0)
             start = 2 * bt
-            sched = modulate(bits, cfg, tx_cores=2, start_us=start)
-            sim.transmit(sim.sender, sched, anchor_us=start)
+            sim.transmit(sim.sender.cores, modulate(bits, cfg, start), "sender", start)
             end = start + (len(bits) + 3) * bt
             series = sim.sample_frequency(sim.receiver, cfg.window_us, (0, end))
             decoded = demodulate(

@@ -11,8 +11,7 @@ import oracles
 from oracles import frequency_at, samples
 from strategies import noise_profiles
 
-from turbochannel.phy import (SampleSeries, SimulatedChannel, TxSchedule,
-                              _window_integrals)
+from turbochannel.phy import SampleSeries, SimulatedChannel, _window_integrals
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
                                 NoiseProfile, _coalesce, apply_policy,
                                 builtin_policy, merge, noise_stream)
@@ -35,25 +34,15 @@ def quiet_sim(**kw):
     return SimulatedChannel(XEON, horizon, **kw)
 
 
-class TestTxSchedule:
-    def test_rejects_overlap(self):
-        with pytest.raises(DomainError):
-            TxSchedule(((0, 100), (50, 200)), 2)
-
-    def test_rejects_empty_entry(self):
-        with pytest.raises(DomainError):
-            TxSchedule(((100, 100),), 1)
-
-
 class TestTransmit:
     def test_empty_schedule_empty_trace(self):
         sim = quiet_sim()
-        assert sim.transmit(sim.sender, TxSchedule((), 2)) == []
+        assert sim.transmit(sim.sender.cores, (), "sender", 0) == []
         assert all(len(whole_activity(sim, core)) == 0 for core in range(8))
 
     def test_marks_activate_all_tx_cores(self):
         sim = quiet_sim()
-        entries = sim.transmit(sim.sender, TxSchedule(((0, 7_000),), 2))
+        entries = sim.transmit(sim.sender.cores, ((0, 7_000),), "sender", 0)
         assert entries == [(0, 7_000)]
         assert whole_activity(sim, 0) == [[0, 7_000]]
         assert whole_activity(sim, 1) == [[0, 7_000]]
@@ -61,21 +50,29 @@ class TestTransmit:
                   if any(s <= 3_000 < e for s, e in whole_activity(sim, core))]
         assert active == [0, 1]
 
-    def test_receiver_cannot_transmit(self):
-        sim = quiet_sim()
-        with pytest.raises(DomainError):
-            sim.transmit(sim.receiver, TxSchedule(((0, 100),), 1))
+    def test_ack_marks_slip_past_receiver_suspensions(self):
+        # an ack is marked on the receiver's core and an idle transmit core,
+        # and the receiver's suspension of [1, 3) ms delays it by 2 ms
+        sim = quiet_sim(preempt_intervals={"receiver": [(1_000, 3_000)]})
+        assert sim.ack_cores == (2, 1)
+        entries = sim.transmit(sim.ack_cores, ((2_000, 5_000),), "receiver", 0)
+        assert entries == [(4_000, 7_000)]
+        assert whole_activity(sim, 2) == [[1_000, 3_000], [4_000, 7_000]]
+        assert whole_activity(sim, 1) == [[4_000, 7_000]]
+        assert whole_activity(sim, 0) == []
 
-    def test_schedule_beyond_horizon_rejected(self):
+    def test_marks_clipped_at_the_horizon(self):
         sim = quiet_sim(horizon_us=10_000)
-        with pytest.raises(DomainError):
-            sim.transmit(sim.sender, TxSchedule(((0, 20_000),), 2))
+        entries = sim.transmit(sim.sender.cores,
+                               ((2_000, 4_000), (6_000, 20_000), (12_000, 14_000)),
+                               "sender", 0)
+        assert entries == [(2_000, 4_000), (6_000, 10_000)]
+        assert whole_activity(sim, 1) == [[2_000, 4_000], [6_000, 10_000]]
 
     def test_preemption_delays_transitions(self):
         # suspension of [4, 7) ms; an entry starting at 5 ms slips by 3 ms
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        entries = sim.transmit(sim.sender, TxSchedule(((5_000, 12_000),), 2),
-                               anchor_us=0)
+        entries = sim.transmit(sim.sender.cores, ((5_000, 12_000),), "sender", 0)
         assert entries == [(8_000, 15_000)]
         # the suspended core keeps running another task
         assert whole_activity(sim, 0) == [[4_000, 7_000], [8_000, 15_000]]
@@ -83,8 +80,7 @@ class TestTransmit:
 
     def test_preemption_before_anchor_ignored(self):
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        entries = sim.transmit(sim.sender, TxSchedule(((10_000, 12_000),), 2),
-                               anchor_us=9_000)
+        entries = sim.transmit(sim.sender.cores, ((10_000, 12_000),), "sender", 9_000)
         assert entries == [(10_000, 12_000)]
         assert whole_activity(sim, 1) == [[10_000, 12_000]]
 
@@ -180,7 +176,7 @@ class TestSampleFrequency:
     def test_settled_counts_take_few_distinct_values(self):
         # marks at bit scale: counts settle onto the policy's level counts
         sim = quiet_sim()
-        sim.transmit(sim.sender, TxSchedule(((10_000, 30_000), (50_000, 70_000)), 2))
+        sim.transmit(sim.sender.cores, ((10_000, 30_000), (50_000, 70_000)), "sender", 0)
         series = sim.sample_frequency(sim.receiver, 1_000, (0, 100_000))
         assert len(set(series.counts.tolist())) <= len(XEON.levels) + 1
 
@@ -208,7 +204,7 @@ class TestSampleFrequency:
     def test_pinned_frequency_override(self):
         sim = SimulatedChannel(XEON, 50_000, tx_core_count=2, jitter_sigma=0.0,
                                pinned_frequency_hz=XEON.base_frequency_hz)
-        sim.transmit(sim.sender, TxSchedule(((0, 40_000),), 2))
+        sim.transmit(sim.sender.cores, ((0, 40_000),), "sender", 0)
         series = sim.sample_frequency(sim.receiver, 1_000, (0, 40_000))
         assert set(series.counts.tolist()) == {1_800_000}
 

@@ -86,18 +86,6 @@ class TestActivityTrace:
         with pytest.raises(DomainError):
             ActivityTrace(2, 1000, {0: [(500, 1500)]})
 
-    def test_with_core_replaces_one_core_and_shares_read_only_rows(self):
-        base = ActivityTrace(3, 1000, {0: [(0, 1000)], 1: [(5, 9)]})
-        source = ActivityTrace(3, 1000, {1: [(100, 200), (300, 400)], 2: [(7, 8)]})
-        t = base.with_core(1, source)
-        assert t == ActivityTrace(3, 1000, {0: [(0, 1000)], 1: [(100, 200), (300, 400)]})
-        assert [t.interval_count(c) for c in range(3)] == [1, 2, 0]
-        assert base.intervals(1) == [(5, 9)]
-        with pytest.raises(ValueError):
-            t._per_core[1][0, 0] = 0
-        with pytest.raises(DomainError):
-            base.with_core(1, ActivityTrace(3, 999))
-
 
 class TestApplyPolicy:
     def test_single_core_constant(self):
