@@ -21,6 +21,6 @@ from .modem import (ModemConfig, StreamAssembler, classify_array,
 from .phy import ChannelEndpoint, SampleSeries, SimulatedChannel
 from .turbo import (ActivityTrace, DomainError, FrequencyTrace, NoiseProfile,
                     TurboPolicy, apply_policy, builtin_policy, generate_noise,
-                    merge, turbo_frequency)
+                    turbo_frequency)
 
 __version__ = "0.1.0"

@@ -94,7 +94,6 @@ class Scenario:
     seeds: tuple[int, ...] = tuple(range(1, 11))
     constant_cores: int = 0
     tx_cores: int | None = None            # None: planned from the load
-    ack_cores: int | None = None
     countermeasure: str = "none"
     countermeasure_cores: int = 2
     record_packets: int = 0                # also record a one-way outcome trace
@@ -157,8 +156,6 @@ class Scenario:
         return k
 
     def planned_ack_cores(self, tx: int) -> int:
-        if self.ack_cores is not None:
-            return self.ack_cores
         cap = 1 + max(0, tx - 1)  # listener's own core plus idle helpers
         k, _ = plan_marking_cores(self.policy, 1 + self.constant_cores, cap)
         return min(k, cap)
@@ -421,7 +418,7 @@ def record_packet_outcomes(s: Scenario, bit_time_us: int, seed: int,
         bits = encode_frame(i % 256, payload)
         frames.append(bits)
         start = t0 + i * slot_bits * bit_time_us
-        sim.transmit(sim.sender.cores, modulate(bits, data_cfg, start), "sender", start)
+        sim.transmit(sim.sender, modulate(bits, data_cfg, start), start)
 
     span_end = t0 + (packet_count * slot_bits + 8) * bit_time_us
     asm = StreamAssembler(data_cfg)
@@ -577,7 +574,7 @@ def _levels(text: str) -> tuple[tuple[int, int], ...]:
 _SCENARIO_KEYS = {
     "payload_bytes": int, "seeds": _seed_list, "idle_noise": _on_off,
     "constant_cores": int,
-    "tx_cores": _auto_int, "ack_cores": _auto_int,
+    "tx_cores": _auto_int,
     "countermeasure": str, "countermeasure_cores": int,
     "record_packets": int, "oversampling": int, "glitch_max": int,
     "max_retries": int, "jitter_sigma": float,

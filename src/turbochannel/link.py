@@ -299,8 +299,8 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             raise DomainError("simulation horizon too small for this transfer")
 
         # sender marks the frame, then immediately starts listening
-        sim.transmit(sim.sender.cores, modulate(frame_bits, data_cfg, t), "sender", t)
-        listen_start = min(sim.shift_for_preemption([nominal_end], "sender", t)[0],
+        sim.transmit(sim.sender, modulate(frame_bits, data_cfg, t), t)
+        listen_start = min(sim.sender.shift_for_preemption([nominal_end], t)[0],
                            deadline - 1)
         sim.commit_core(sim.sender.sampling_core, listen_start, deadline)
 
@@ -321,14 +321,11 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
             ack_start = decided + bit  # one-bit turnaround to the ack
             ack_bits = encode_frame(seq)
             nominal_ack_end = ack_start + len(ack_bits) * bit
-            if nominal_ack_end < sim.horizon_us:
-                sim.transmit(sim.ack_cores, modulate(ack_bits, ack_cfg, ack_start),
-                             "receiver", ack_start)
-                rx_resume = sim.shift_for_preemption([nominal_ack_end],
-                                                     "receiver", ack_start)[0]
-            else:
-                rx_resume = sim.horizon_us
+            sim.transmit(sim.receiver, modulate(ack_bits, ack_cfg, ack_start), ack_start)
+            rx_resume = sim.receiver.shift_for_preemption([nominal_ack_end], ack_start)[0]
             rx_asm.end_segment(decided)  # the bits it closes never reach the receiver
+            # the guard above keeps the nominal ack inside the horizon, but a
+            # suspension may push the resume past it
             rx_pos = max(rx_pos, min(rx_resume, sim.horizon_us))
 
         # sender listens for the ack until the timeout

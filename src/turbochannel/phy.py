@@ -50,16 +50,44 @@ class SampleSeries:
         return self.start_us + self.window_us * (1 + np.arange(n, dtype=np.int64))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ChannelEndpoint:
-    """Handle for one side of the channel inside a simulation."""
+    """One covert process inside a simulation: the core it samples on, the
+    cores it marks with (its own sampling core first), its suspensions, its
+    measurement jitter and the phase of its sampling grid."""
 
-    role: str                   # "sender" | "receiver"
-    cores: tuple[int, ...]
+    sampling_core: int
+    mark_cores: tuple[int, ...]
+    # sorted by start, with the furthest end reached so far (one may end
+    # inside another)
+    suspensions: list[tuple[int, int]]
+    reach: list[int]
+    jitter: np.random.Generator
+    grid_frac: float            # grid phase, as a fraction of a window
 
-    @property
-    def sampling_core(self) -> int:
-        return self.cores[0]
+    def suspended_in(self, t0: int, t1: int) -> tuple[int, int]:
+        """Index range of the suspensions that may overlap [t0, t1): from the
+        first to reach past t0 up to the first starting at or after t1."""
+        # (t1,) sorts before every row that starts at t1
+        return bisect_right(self.reach, t0), bisect_left(self.suspensions, (t1,))
+
+    def shift_for_preemption(self, times: Sequence[int], anchor_us: int) -> list[int]:
+        """Map process-progress times to wall times: progress pauses while the
+        process is preempted, so every later transition slips by the overlap."""
+        rows = self.suspensions
+        out = []
+        delay = 0
+        # skip suspensions that ended before the anchor: the first to end
+        # after it is the first whose reach passes it
+        j = bisect_right(self.reach, anchor_us)
+        for x in times:
+            while j < len(rows) and rows[j][0] <= x + delay:
+                # only the part of the suspension after the anchor stalls progress
+                s, e = rows[j]
+                delay += e - max(s, anchor_us)
+                j += 1
+            out.append(x + delay)
+        return out
 
 
 class SimulatedChannel:
@@ -103,16 +131,10 @@ class SimulatedChannel:
 
         tx_cores = tuple(range(tx_core_count))
         rx_core = tx_core_count
-        self.sender = ChannelEndpoint("sender", tx_cores)
-        self.receiver = ChannelEndpoint("receiver", (rx_core,))
         if ack_core_count is None:
             ack_core_count = tx_core_count
         if ack_core_count < 1 or ack_core_count - 1 > tx_core_count - 1:
             raise DomainError("ack cores exceed the idle cores available")
-        # ack marks: the receiver's core plus helpers placed on transmitter
-        # cores that are idle while the sender listens (tx core 0 is the
-        # sender's own sampling core and stays reserved)
-        self.ack_cores = (rx_core,) + tx_cores[1:ack_core_count]
         self.noise_pool = tuple(range(rx_core + 1, policy.core_count))
 
         # background noise of each core, coalesced, merged in as it is read
@@ -125,34 +147,33 @@ class SimulatedChannel:
         self._pending: list[NoiseBlock | None] = [None] * len(self._noise)
         self._frontier = 0  # every noise interval starting before it is in _static
 
-        # suspensions of the covert processes, sorted by start, with the
-        # furthest end reached so far (one may end inside another). The
-        # sampling core keeps running (another task owns it), so they also
-        # count as its activity.
-        self._suspensions: dict[str, list[tuple[int, int]]] = {}
-        self._reach: dict[str, list[int]] = {}
-        self._anchored = {tx_cores[0]: "sender", rx_core: "receiver"}
-        rates = {"sender": sender_preempt_rate, "receiver": receiver_preempt_rate}
-        for role, rate in rates.items():
+        # the two covert processes. The receiver marks acks with its own
+        # core plus helpers placed on transmitter cores that are idle while
+        # the sender listens (tx core 0 is the sender's own sampling core
+        # and stays reserved). A sampling core keeps running while its
+        # process is suspended (another task owns it), so the suspensions
+        # also count as its activity.
+        grid_rng = random.Random(f"grid:{seed}")
+        endpoints = []
+        for stream, (role, cores, rate) in enumerate((
+                ("sender", tx_cores, sender_preempt_rate),
+                ("receiver", (rx_core,) + tx_cores[1:ack_core_count], receiver_preempt_rate),
+        ), 1):
             if preempt_intervals and role in preempt_intervals:
                 rows = sorted((int(s), int(e)) for s, e in preempt_intervals[role])
             else:
                 rows = self._draw_preempts(role, rate, preempt_min_us, preempt_max_us)
-            self._suspensions[role] = rows
-            self._reach[role] = list(accumulate((e for _, e in rows), max))
+            endpoints.append(ChannelEndpoint(
+                cores[0], cores, rows, list(accumulate((e for _, e in rows), max)),
+                np.random.default_rng([seed, stream]), grid_rng.random()))
+        self.sender, self.receiver = endpoints
+        self._anchored = {e.sampling_core: e for e in endpoints}
 
         # committed activity of each core: sorted, coalesced start and end
         # columns, kept apart from noise and suspensions so that a truncation
         # clips only them
         self._starts: list[list[int]] = [[] for _ in range(policy.core_count)]
         self._ends: list[list[int]] = [[] for _ in range(policy.core_count)]
-
-        self._jitter = {
-            "sender": np.random.default_rng([seed, 1]),
-            "receiver": np.random.default_rng([seed, 2]),
-        }
-        grid_rng = random.Random(f"grid:{seed}")
-        self._grid_frac = {"sender": grid_rng.random(), "receiver": grid_rng.random()}
 
     # -- timeline -----------------------------------------------------------
 
@@ -230,14 +251,12 @@ class SimulatedChannel:
         i, j = bisect_right(ends, t0), bisect_left(starts, t1)
         if i < j:
             parts.append(np.array((starts[i:j], ends[i:j]), dtype=np.int64).T)
-        role = self._anchored.get(core)
+        endpoint = self._anchored.get(core)
         suspended = False
-        if role is not None:
-            held = self._suspensions[role]
-            # (t1,) sorts before every row that starts at t1
-            lo, hi = bisect_right(self._reach[role], t0), bisect_left(held, (t1,))
+        if endpoint is not None:
+            lo, hi = endpoint.suspended_in(t0, t1)
             if suspended := lo < hi:
-                parts.append(np.array(held[lo:hi], dtype=np.int64))
+                parts.append(np.array(endpoint.suspensions[lo:hi], dtype=np.int64))
         if not parts:
             return _NO_ROWS
         rows = _coalesce(np.concatenate(parts)) if suspended or len(parts) > 1 else parts[0]
@@ -278,42 +297,23 @@ class SimulatedChannel:
 
     # -- backend operations ---------------------------------------------------
 
-    def shift_for_preemption(self, times: Sequence[int], role: str,
-                             anchor_us: int) -> list[int]:
-        """Map process-progress times to wall times: progress pauses while the
-        process is preempted, so every later transition slips by the overlap."""
-        rows = self._suspensions[role]
-        out = []
-        delay = 0
-        # skip suspensions that ended before the anchor: the first to end
-        # after it is the first whose reach passes it
-        j = bisect_right(self._reach[role], anchor_us)
-        for x in times:
-            while j < len(rows) and rows[j][0] <= x + delay:
-                # only the part of the suspension after the anchor stalls progress
-                s, e = rows[j]
-                delay += e - max(s, anchor_us)
-                j += 1
-            out.append(x + delay)
-        return out
+    def transmit(self, endpoint: ChannelEndpoint, entries: Sequence[tuple[int, int]],
+                 anchor_us: int) -> list[tuple[int, int]]:
+        """Drive the endpoint's mark cores through on-off marks and commit the
+        activity: the sender's for a frame, the receiver's for an ack.
 
-    def transmit(self, cores: Sequence[int], entries: Sequence[tuple[int, int]],
-                 role: str, anchor_us: int) -> list[tuple[int, int]]:
-        """Drive a core set through on-off marks and commit the activity:
-        the sender's cores for a frame, ``ack_cores`` for an ack.
-
-        Transitions are delayed by any preemption of the transmitting
-        process since ``anchor_us``, and marks are clipped at the horizon.
-        Returns the committed wall-time entries, the same on every core.
+        Transitions are delayed by any preemption of that process since
+        ``anchor_us``, and marks are clipped at the horizon. Returns the
+        committed wall-time entries, the same on every core.
         """
-        shifted = self.shift_for_preemption([t for entry in entries for t in entry],
-                                            role, anchor_us)
+        shifted = endpoint.shift_for_preemption([t for entry in entries for t in entry],
+                                                anchor_us)
         committed = []
         for s, e in zip(shifted[::2], shifted[1::2]):
             e = min(e, self.horizon_us)
             if s < e:
                 committed.append((s, e))
-                for c in cores:
+                for c in endpoint.mark_cores:
                     self.commit_core(c, s, e)
         return committed
 
@@ -335,10 +335,9 @@ class SimulatedChannel:
         a, b = span
         if not 0 <= a < b <= self.horizon_us:
             raise DomainError("span outside the simulation horizon")
-        role = endpoint.role
         self.commit_core(endpoint.sampling_core, a, b)
 
-        phase = int(self._grid_frac[role] * window_us)
+        phase = int(endpoint.grid_frac * window_us)
         first = phase + -((phase - a) // window_us) * window_us  # first boundary >= a
         n = (b - first) // window_us
         if n <= 0:
@@ -352,10 +351,9 @@ class SimulatedChannel:
         # the loop runs at frequency * (1 - depth), where depth counts the
         # suspensions in force; suspensions are sorted by start, and their
         # ends only by prefix maximum, since one may end inside another
-        rows, reach = self._suspensions[role], self._reach[role]
-        lo, hi = bisect_right(reach, t0), bisect_left(rows, (t1,))
+        lo, hi = endpoint.suspended_in(t0, t1)
         if lo < hi:  # some suspension may overlap the span
-            live = np.clip(np.array(rows[lo:hi], dtype=np.int64), t0, t1)
+            live = np.clip(np.array(endpoint.suspensions[lo:hi], dtype=np.int64), t0, t1)
             depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
             # merge the two breakpoint lists by sorting (np.unique would
             # import numpy.ma, 1.6 MB, on its first call)
@@ -366,13 +364,13 @@ class SimulatedChannel:
             # a window is missing when one suspension starting at or before
             # it reaches its end: the furthest end so far tells (every bound
             # lies at or before t1, so that end needs no clipping)
-            furthest = np.array([t0] + reach[lo:hi], dtype=np.int64)
+            furthest = np.array([t0] + endpoint.reach[lo:hi], dtype=np.int64)
             missing = furthest[live[:, 0].searchsorted(bounds[:-1], side="right")] >= bounds[1:]
         integrals = _window_integrals(rate_t, rate, bounds)
 
         counts = integrals * 1e-6  # Hz*us to cycles
         if self.jitter_sigma > 0:
-            g = self._jitter[role].normal(0.0, self.jitter_sigma, size=n)
+            g = endpoint.jitter.normal(0.0, self.jitter_sigma, size=n)
             counts = counts * (1.0 + g)
         counts = np.rint(np.maximum(counts, 0.0)).astype(np.int64)
         counts[missing] = 0

@@ -224,21 +224,6 @@ class ActivityTrace:
                 f"intervals={self.total_intervals()})")
 
 
-def merge(traces: Sequence[ActivityTrace]) -> ActivityTrace:
-    """Per-core union of activity; a core is active if active in any input."""
-    if not traces:
-        raise DomainError("merge needs at least one trace")
-    first = traces[0]
-    for t in traces[1:]:
-        if t.core_count != first.core_count or t.horizon_us != first.horizon_us:
-            raise DomainError("merge requires matching core_count and horizon")
-    raw = []
-    for core in range(first.core_count):
-        stacked = np.concatenate([t._per_core[core] for t in traces])
-        raw.append(_coalesce(stacked))
-    return ActivityTrace(first.core_count, first.horizon_us, _raw=raw)
-
-
 @dataclass
 class FrequencyTrace:
     """Piecewise-constant effective turbo frequency over [0, horizon).

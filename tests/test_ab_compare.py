@@ -1,5 +1,6 @@
 """The interleaved A/B timing tool runs end to end."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,13 @@ def test_a_checkout_against_itself_writes_identical_outputs():
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == [f"A {ROOT}", f"B {ROOT}"]
     assert "of 60 operations, 1 repeats; outputs identical" in lines[2]
+    # one operation named with both medians and their ratio
+    worst = re.fullmatch(r"largest B/A median ratio: quiet-link/\d+us/\d+: "
+                         r"A (\d+\.\d\d) ms, B (\d+\.\d\d) ms, ratio (\d+\.\d{3})",
+                         lines[3])
+    assert worst, lines[3]
+    a, b, ratio = map(float, worst.groups())
+    assert abs(b / a - ratio) < 0.01
 
 
 def test_the_configs_workload_runs_each_side_on_its_own_modules():
@@ -26,4 +34,6 @@ def test_the_configs_workload_runs_each_side_on_its_own_modules():
     # side's own inputs directory
     done = _run(ROOT, ROOT, "configs", 1)
     assert done.returncode == 0, done.stderr
-    assert "of 7 operations, 1 repeats; outputs identical" in done.stdout.splitlines()[2]
+    lines = done.stdout.splitlines()
+    assert "of 7 operations, 1 repeats; outputs identical" in lines[2]
+    assert lines[3].startswith("largest B/A median ratio: ")

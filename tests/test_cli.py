@@ -121,7 +121,8 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys):
                                        # retired model knobs: no Scenario field
                                        ("idle_event_rates = 1:1e9", "idle_event_rates"),
                                        ("ops_per_cycle = 1.0", "ops_per_cycle"),
-                                       ("preempt_base_tx = 0.1", "preempt_base_tx")])
+                                       ("preempt_base_tx = 0.1", "preempt_base_tx"),
+                                       ("ack_cores = auto", "ack_cores")])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, line, key):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(IDLE_CFG + line + "\n")

@@ -410,7 +410,7 @@ class TestListen:
         # keeps that short run as a bit, which the next listen does not return
         s = quiet_scenario(bit_times_us=(2_000,))
         sim, _, cfg, _ = build_simulation(s, 2_000, 1, horizon_us=200_000)
-        sim.transmit(sim.sender.cores, modulate("1101", cfg, 2_000), "sender", 2_000)
+        sim.transmit(sim.sender, modulate("1101", cfg, 2_000), 2_000)
         asm = StreamAssembler(cfg)
         assert (listen(sim, sim.receiver, cfg, asm, (0, 8_700))
                 == ("0110", [1_063, 3_063, 5_063, 7_063]))
@@ -433,11 +433,11 @@ class TestListen:
         runs = []
         for _ in range(2):
             sim, _, cfg, _ = build_simulation(s, bit, seed, horizon_us=end + bit)
-            sim.transmit(sim.sender.cores, modulate(bits, cfg, start), "sender", start)
+            sim.transmit(sim.sender, modulate(bits, cfg, start), start)
             runs.append((sim, cfg, StreamAssembler(cfg)))
         (whole_sim, cfg, whole_asm), (split_sim, _, split_asm) = runs
         window = cfg.window_us
-        phase = int(split_sim._grid_frac["receiver"] * window)
+        phase = int(split_sim.receiver.grid_frac * window)
         cut = phase + window * data.draw(st.integers(1, (end - phase) // window - 1))
 
         whole = listen(whole_sim, whole_sim.receiver, cfg, whole_asm, (0, end))

@@ -232,7 +232,7 @@ class TestRoundTrip:
             sim = SimulatedChannel(XEON, 5_000_000, tx_core_count=2,
                                    seed=trial, jitter_sigma=0.0)
             start = 2 * bt
-            sim.transmit(sim.sender.cores, modulate(bits, cfg, start), "sender", start)
+            sim.transmit(sim.sender, modulate(bits, cfg, start), start)
             end = start + (len(bits) + 3) * bt
             series = sim.sample_frequency(sim.receiver, cfg.window_us, (0, end))
             decoded = demodulate(

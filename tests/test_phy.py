@@ -14,7 +14,7 @@ from strategies import noise_profiles
 from turbochannel.phy import SampleSeries, SimulatedChannel, _window_integrals
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
                                 NoiseProfile, _coalesce, apply_policy,
-                                builtin_policy, merge, noise_stream)
+                                builtin_policy, noise_stream)
 
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
@@ -37,12 +37,12 @@ def quiet_sim(**kw):
 class TestTransmit:
     def test_empty_schedule_empty_trace(self):
         sim = quiet_sim()
-        assert sim.transmit(sim.sender.cores, (), "sender", 0) == []
+        assert sim.transmit(sim.sender, (), 0) == []
         assert all(len(whole_activity(sim, core)) == 0 for core in range(8))
 
     def test_marks_activate_all_tx_cores(self):
         sim = quiet_sim()
-        entries = sim.transmit(sim.sender.cores, ((0, 7_000),), "sender", 0)
+        entries = sim.transmit(sim.sender, ((0, 7_000),), 0)
         assert entries == [(0, 7_000)]
         assert whole_activity(sim, 0) == [[0, 7_000]]
         assert whole_activity(sim, 1) == [[0, 7_000]]
@@ -52,27 +52,29 @@ class TestTransmit:
 
     def test_ack_marks_slip_past_receiver_suspensions(self):
         # an ack is marked on the receiver's core and an idle transmit core,
-        # and the receiver's suspension of [1, 3) ms delays it by 2 ms
-        sim = quiet_sim(preempt_intervals={"receiver": [(1_000, 3_000)]})
-        assert sim.ack_cores == (2, 1)
-        entries = sim.transmit(sim.ack_cores, ((2_000, 5_000),), "receiver", 0)
+        # and the receiver's suspension of [1, 3) ms delays it by 2 ms; the
+        # sender's suspension of [2.5, 6) ms delays only the sender's marks
+        sim = quiet_sim(preempt_intervals={"receiver": [(1_000, 3_000)],
+                                           "sender": [(2_500, 6_000)]})
+        assert sim.receiver.mark_cores == (2, 1)
+        entries = sim.transmit(sim.receiver, ((2_000, 5_000),), 0)
         assert entries == [(4_000, 7_000)]
         assert whole_activity(sim, 2) == [[1_000, 3_000], [4_000, 7_000]]
         assert whole_activity(sim, 1) == [[4_000, 7_000]]
-        assert whole_activity(sim, 0) == []
+        assert whole_activity(sim, 0) == [[2_500, 6_000]]
+        assert sim.transmit(sim.sender, ((2_000, 5_000),), 0) == [(2_000, 8_500)]
 
     def test_marks_clipped_at_the_horizon(self):
         sim = quiet_sim(horizon_us=10_000)
-        entries = sim.transmit(sim.sender.cores,
-                               ((2_000, 4_000), (6_000, 20_000), (12_000, 14_000)),
-                               "sender", 0)
+        entries = sim.transmit(sim.sender,
+                               ((2_000, 4_000), (6_000, 20_000), (12_000, 14_000)), 0)
         assert entries == [(2_000, 4_000), (6_000, 10_000)]
         assert whole_activity(sim, 1) == [[2_000, 4_000], [6_000, 10_000]]
 
     def test_preemption_delays_transitions(self):
         # suspension of [4, 7) ms; an entry starting at 5 ms slips by 3 ms
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        entries = sim.transmit(sim.sender.cores, ((5_000, 12_000),), "sender", 0)
+        entries = sim.transmit(sim.sender, ((5_000, 12_000),), 0)
         assert entries == [(8_000, 15_000)]
         # the suspended core keeps running another task
         assert whole_activity(sim, 0) == [[4_000, 7_000], [8_000, 15_000]]
@@ -80,7 +82,7 @@ class TestTransmit:
 
     def test_preemption_before_anchor_ignored(self):
         sim = quiet_sim(preempt_intervals={"sender": [(4_000, 7_000)]})
-        entries = sim.transmit(sim.sender.cores, ((10_000, 12_000),), "sender", 9_000)
+        entries = sim.transmit(sim.sender, ((10_000, 12_000),), 9_000)
         assert entries == [(10_000, 12_000)]
         assert whole_activity(sim, 1) == [[10_000, 12_000]]
 
@@ -104,7 +106,7 @@ class TestShiftForPreemption:
                                           | st.one_of(st.integers(0, 80_000), *inside),
                                           max_size=12)))
         sim = quiet_sim(preempt_intervals={role: suspensions})
-        assert (sim.shift_for_preemption(times, role, anchor)
+        assert (getattr(sim, role).shift_for_preemption(times, anchor)
                 == oracles.shift_for_preemption(suspensions, times, anchor))
 
     @pytest.mark.parametrize("suspensions, anchor, progress, wall", [
@@ -117,7 +119,7 @@ class TestShiftForPreemption:
     def test_nested_suspensions_each_add_their_own_delay(self, suspensions, anchor,
                                                         progress, wall):
         sim = quiet_sim(preempt_intervals={"sender": suspensions})
-        assert sim.shift_for_preemption([progress], "sender", anchor) == [wall]
+        assert sim.sender.shift_for_preemption([progress], anchor) == [wall]
 
 
 class TestSampleFrequency:
@@ -136,7 +138,7 @@ class TestSampleFrequency:
                                seed=99)
         # pin the sampling grid half a period off the PCU ticks, then wake
         # two extra cores at a tick so the change lands mid-window
-        sim._grid_frac["receiver"] = 0.5
+        sim.receiver.grid_frac = 0.5
         flip = 11_000
         sim.commit_core(4, flip, 80_000)
         sim.commit_core(5, flip, 80_000)
@@ -176,7 +178,7 @@ class TestSampleFrequency:
     def test_settled_counts_take_few_distinct_values(self):
         # marks at bit scale: counts settle onto the policy's level counts
         sim = quiet_sim()
-        sim.transmit(sim.sender.cores, ((10_000, 30_000), (50_000, 70_000)), "sender", 0)
+        sim.transmit(sim.sender, ((10_000, 30_000), (50_000, 70_000)), 0)
         series = sim.sample_frequency(sim.receiver, 1_000, (0, 100_000))
         assert len(set(series.counts.tolist())) <= len(XEON.levels) + 1
 
@@ -204,7 +206,7 @@ class TestSampleFrequency:
     def test_pinned_frequency_override(self):
         sim = SimulatedChannel(XEON, 50_000, tx_core_count=2, jitter_sigma=0.0,
                                pinned_frequency_hz=XEON.base_frequency_hz)
-        sim.transmit(sim.sender.cores, ((0, 40_000),), "sender", 0)
+        sim.transmit(sim.sender, ((0, 40_000),), 0)
         series = sim.sample_frequency(sim.receiver, 1_000, (0, 40_000))
         assert set(series.counts.tolist()) == {1_800_000}
 
@@ -314,8 +316,10 @@ class TestWindowedWalk:
                 spans.append((core, start, cursor[core]))
         for core, start, end in spans:
             sim.commit_core(core, start, end)
-        whole = apply_policy(policy, merge([ActivityTrace(8, self.HORIZON, {core: [(s, e)]})
-                                            for core, s, e in spans])).segments.tolist()
+        per_core = {core: _coalesce(np.array([(s, e) for c, s, e in spans if c == core],
+                                             dtype=np.int64).reshape(-1, 2)).tolist()
+                    for core in range(8)}
+        whole = apply_policy(policy, ActivityTrace(8, self.HORIZON, per_core)).segments.tolist()
         for a, length in queries:
             b = min(a + length, self.HORIZON)
             later = [(max(s, a), f) for s, f in whole if s < b]
@@ -388,7 +392,7 @@ class TestSuspendedSampling:
         suspensions = [(s, s + length) for s, length in suspensions]
         sim = SimulatedChannel(XEON, self.HORIZON, tx_core_count=2, jitter_sigma=0.0,
                                preempt_intervals={"receiver": suspensions})
-        sim._grid_frac["receiver"] = phase
+        sim.receiver.grid_frac = phase
         sim.commit_core(0, 0, self.HORIZON)  # park the package next to a level bound
         for core, start, length in busy:
             sim.commit_core(core, start, start + length)
@@ -412,7 +416,7 @@ class TestSuspendedSampling:
         # the windows run from t0 = 10 ms to t1 = 30 ms; without noise the
         # pool cores hold no intervals at all
         sim = quiet_sim(preempt_intervals={"receiver": suspensions})
-        sim._grid_frac["receiver"] = 0.0
+        sim.receiver.grid_frac = 0.0
         sim.commit_core(0, 0, 50_000)
         if noise_busy:
             sim.commit_core(sim.noise_pool[0], 12_000, 25_000)
@@ -430,7 +434,7 @@ class TestSuspendedSampling:
         # is not missing
         sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 10_600),
                                                         (10_400, 11_000)]})
-        sim._grid_frac["receiver"] = 0.0
+        sim.receiver.grid_frac = 0.0
         series = sim.sample_frequency(sim.receiver, 1_000, (0, 20_000))
         assert series.start_us == 0
         assert series.counts[9:12].tolist() == [3_000_000, 0, 3_000_000]
@@ -593,7 +597,7 @@ class _RebuiltTimeline:
     def intervals(self, core):
         dyn = sorted(self.committed[core])
         if core in self.sim._anchored:
-            dyn += self.sim._suspensions[self.sim._anchored[core]]
+            dyn += self.sim._anchored[core].suspensions
         return _union(self.sim._static[core],
                       np.asarray(dyn, dtype=np.int64).reshape(-1, 2))
 

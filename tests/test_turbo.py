@@ -11,7 +11,7 @@ from strategies import noise_profiles
 from turbochannel.turbo import (IDLE_EVENT_RATES, ActivityTrace, DomainError,
                                 NoiseProfile, TurboPolicy, _coalesce,
                                 _poisson_events, apply_policy, builtin_policy,
-                                generate_noise, merge, noise_stream,
+                                generate_noise, noise_stream,
                                 pcu_walk, step_function, turbo_frequency)
 
 XEON = builtin_policy("xeon-silver-4108")
@@ -263,27 +263,6 @@ class TestPcuWalk:
                 walk(XEON, times, counts, 3_000)
 
 
-@st.composite
-def small_traces(draw):
-    horizon = 20_000
-    intervals = {}
-    for core in range(3):
-        pairs = draw(st.lists(
-            st.tuples(st.integers(0, horizon - 2), st.integers(1, 4_000)),
-            max_size=3))
-        ivs = []
-        cursor = 0
-        for start, length in sorted(pairs):
-            s = max(start, cursor)
-            e = min(s + length, horizon)
-            if e > s:
-                ivs.append((s, e))
-                cursor = e + 1
-        if ivs:
-            intervals[core] = ivs
-    return ActivityTrace(3, horizon, intervals)
-
-
 class TestStepFunction:
     @settings(max_examples=100, deadline=None)
     @given(origin=st.integers(0, 50),
@@ -302,36 +281,6 @@ class TestStepFunction:
     def test_empty_trace_is_idle_from_zero(self):
         times, counts = ActivityTrace(3, 1_000).steps()
         assert times.tolist() == [0] and counts.tolist() == [0]
-
-
-class TestMerge:
-    def test_identity(self):
-        t = ActivityTrace(2, 1000, {0: [(0, 500)]})
-        assert merge([t]) == t
-
-    def test_disjoint_cores_overlap_in_time(self):
-        a = ActivityTrace(4, 1000, {0: [(100, 600)]})
-        b = ActivityTrace(4, 1000, {1: [(300, 800)]})
-        m = merge([a, b])
-        assert m.active_count_at(400) == 2
-        assert m.active_count_at(700) == 1
-
-    def test_mismatch_rejected(self):
-        a = ActivityTrace(4, 1000)
-        with pytest.raises(DomainError):
-            merge([a, ActivityTrace(5, 1000)])
-        with pytest.raises(DomainError):
-            merge([a, ActivityTrace(4, 2000)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_traces(), small_traces())
-    def test_commutative(self, a, b):
-        assert merge([a, b]) == merge([b, a])
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_traces(), small_traces(), small_traces())
-    def test_associative(self, a, b, c):
-        assert merge([merge([a, b]), c]) == merge([a, merge([b, c])])
 
 
 class TestGenerateNoise:

@@ -7,8 +7,10 @@ per repeat. Before each operation the ``turbochannel`` entries of
 ``sys.modules`` point at that side's set, so an import made at call time (as
 cli makes) finds its own checkout, and each side reads the workload's input
 files from its own directory. Prints each side's sweep time and median
-operation (medians over the repeats), how many operations B ran faster and
-whether the outputs match.
+operation (medians over the repeats), how many operations B ran faster,
+whether the outputs match, and the operation with the largest B/A median
+ratio with both its medians: one slow operation can hide inside a flat
+sweep total.
 """
 
 import importlib.util
@@ -69,6 +71,10 @@ def main(argv: list[str]) -> int:
     faster = sum(x < y for x, y in zip(med["B"], med["A"]))
     print(f"{workload}: B faster on {faster} of {n} operations, {repeats} repeats; "
           f"outputs {'identical' if same else 'DIFFER'}")
+    worst = max(range(n), key=lambda i: med["B"][i] / med["A"][i])
+    a, b = med["A"][worst], med["B"][worst]
+    print(f"largest B/A median ratio: {sides['A'].operations[worst].name}: "
+          f"A {a:.2f} ms, B {b:.2f} ms, ratio {b / a:.3f}")
     return 0 if same else 1
 
 
