@@ -172,19 +172,22 @@ class StreamAssembler:
         lengths = bounds[1:] - bounds[:-1]
         long = lengths > self._gmax
         long[0] = True  # the tail, or the head of a stream, is never a glitch
-        # a run an odd number of runs after the last long run has the other
-        # value: it is a glitch, absorbed into the group that long run
-        # started or, as the last run, undecided. A group starts at each
-        # long run whose value differs from the last one's.
-        runs = np.arange(len(lengths))
-        glitch = (runs - np.maximum.accumulate(runs * long)) & 1
-        undecided = int(glitch[-1])
-        longs = long.nonzero()[0]
-        parity = longs & 1
-        new = np.empty(len(longs), dtype=bool)
-        new[0] = True
-        np.not_equal(parity[1:], parity[:-1], out=new[1:])
-        edges = bounds[np.concatenate((longs[new], (len(lengths) - undecided,)))]
+        if long.all():  # no glitch: each run is a group of its own
+            glitch, undecided, edges = None, 0, bounds
+        else:
+            # a run an odd number of runs after the last long run has the
+            # other value: it is a glitch, absorbed into the group that long
+            # run started or, as the last run, undecided. A group starts at
+            # each long run whose value differs from the last one's.
+            runs = np.arange(len(lengths))
+            glitch = (runs - np.maximum.accumulate(runs * long)) & 1
+            undecided = int(glitch[-1])
+            longs = long.nonzero()[0]
+            parity = longs & 1
+            new = np.empty(len(longs), dtype=bool)
+            new[0] = True
+            np.not_equal(parity[1:], parity[:-1], out=new[1:])
+            edges = bounds[np.concatenate((longs[new], (len(lengths) - undecided,)))]
         group_start, group_len = edges[:-1], edges[1:] - edges[:-1]
         groups = len(group_start)
 
@@ -211,10 +214,11 @@ class StreamAssembler:
         if nbits:
             at = origin.repeat(count)
             at += np.arange(lag, lag + os_ * nbits, os_)
-            # a bit ready inside an absorbed glitch is known when the next
-            # run starts
-            floor = np.where(glitch, bounds[1:], bounds[:-1])
-            at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
+            if glitch is not None:
+                # a bit ready inside an absorbed glitch is known when the next
+                # run starts
+                floor = np.where(glitch, bounds[1:], bounds[:-1])
+                at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
             if at[0] < 0:  # ready among leading missings
                 np.maximum(at, 0, out=at)
             self.bit_times.extend(times[at].tolist())

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ MIN_WINDOW_US = 100
 # a noise expansion moves the frontier on by at least this much (about 1 s),
 # so that queries just past the frontier do not each expand noise
 _MIN_FRONTIER_STEP_US = 1 << 20
-
-_NO_ROWS = np.empty((0, 2), dtype=np.int64)
 
 
 @dataclass
@@ -46,8 +44,8 @@ class SampleSeries:
         return len(self.counts)
 
     def end_times(self) -> np.ndarray:
-        n = len(self.counts)
-        return self.start_us + self.window_us * (1 + np.arange(n, dtype=np.int64))
+        a, w = self.start_us, self.window_us
+        return np.arange(a + w, a + w * (len(self.counts) + 1), w, dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -99,7 +97,7 @@ class SimulatedChannel:
     geometric headroom), never over the whole horizon up front. A core's
     activity comes from three sources kept apart: its noise, its commits
     and (on a sampling core) its process's suspensions; a query unions them
-    only over its own span (``_activity``). Must be driven from a single
+    only over its own span (``_live``). Must be driven from a single
     thread; distinct instances are independent.
     """
 
@@ -138,7 +136,7 @@ class SimulatedChannel:
         self.noise_pool = tuple(range(rx_core + 1, policy.core_count))
 
         # background noise of each core, coalesced, merged in as it is read
-        self._static: list[np.ndarray] = [_NO_ROWS] * policy.core_count
+        self._static = [np.empty((0, 2), dtype=np.int64)] * policy.core_count
         # creating the streams checks the profiles; a pinned channel never
         # reads them. Each stream keeps the part of its last block that
         # starts at or after the frontier.
@@ -203,7 +201,8 @@ class SimulatedChannel:
             self._pending[i] = block
         self._frontier = frontier
         for core, ivs in _by_core(fresh, self.noise_pool):
-            self._static[core] = _merge_suffix(self._static[core], ivs)
+            rows = self._static[core] = _merge_suffix(self._static[core], ivs)
+            rows.flags.writeable = False  # a query reads slices of it
 
     def commit_core(self, core: int, start_us: int, end_us: int):
         """Record that a core is active on [start, end); overlaps are unioned."""
@@ -235,35 +234,34 @@ class SimulatedChannel:
         if n and ends[-1] > t_us:
             ends[-1] = t_us
 
-    def _activity(self, core: int, t0: int, t1: int) -> np.ndarray:
-        """A core's activity on [t0, t1), coalesced and clipped to the span:
-        its noise, its commits and, on a sampling core, its process's
-        suspensions. The rows are coalesced only where more than one source,
-        or a suspension (they may overlap), reaches the span."""
-        parts = []
-        noise = self._static[core]
-        if len(noise):  # most pool cores of a quiet channel hold none
-            noise = noise[noise[:, 1].searchsorted(t0, side="right"):
-                          noise[:, 0].searchsorted(t1, side="left")]
-            if len(noise):
-                parts.append(noise.copy())
-        starts, ends = self._starts[core], self._ends[core]
-        i, j = bisect_right(ends, t0), bisect_left(starts, t1)
-        if i < j:
-            parts.append(np.array((starts[i:j], ends[i:j]), dtype=np.int64).T)
-        endpoint = self._anchored.get(core)
-        suspended = False
-        if endpoint is not None:
-            lo, hi = endpoint.suspended_in(t0, t1)
-            if suspended := lo < hi:
-                parts.append(np.array(endpoint.suspensions[lo:hi], dtype=np.int64))
-        if not parts:
-            return _NO_ROWS
-        rows = _coalesce(np.concatenate(parts)) if suspended or len(parts) > 1 else parts[0]
-        # coalesced rows are disjoint, so only the outer two can cross the span
-        rows[0, 0] = max(rows[0, 0], t0)
-        rows[-1, 1] = min(rows[-1, 1], t1)
-        return rows
+    def _live(self, t0: int, t1: int, cores: Iterable[int]) -> np.ndarray:
+        """Start and end columns, one fresh (2, n) array, of the rows of
+        ``cores`` that reach into [t0, t1), starts clipped at t0: noise,
+        commits and suspensions. A core's rows are coalesced where more than
+        one source, or a suspension (they may overlap), reaches the span."""
+        starts, ends, parts = [], [], []
+        for core in cores:
+            noise = self._static[core]
+            if len(noise):  # most pool cores of a quiet channel hold none
+                noise = noise[noise[:, 1].searchsorted(t0, side="right"):
+                              noise[:, 0].searchsorted(t1, side="left")]
+            cs, ce = self._starts[core], self._ends[core]
+            i, j = bisect_right(ce, t0), bisect_left(cs, t1)
+            endpoint = self._anchored.get(core)
+            lo, hi = endpoint.suspended_in(t0, t1) if endpoint else (0, 0)
+            if lo < hi or len(noise) and i < j:
+                rows = [noise, np.array((cs[i:j], ce[i:j]), dtype=np.int64).T]
+                if lo < hi:
+                    rows.append(np.array(endpoint.suspensions[lo:hi], dtype=np.int64))
+                parts.append(_coalesce(np.concatenate(rows)).T)
+            elif i < j:
+                starts += cs[i:j]
+                ends += ce[i:j]
+            elif len(noise):
+                parts.append(noise.T)  # a read-only view, copied below
+        live = np.concatenate([np.array((starts, ends), dtype=np.int64), *parts], axis=1)
+        np.maximum(live[0], t0, out=live[0])
+        return live
 
     # -- frequency ----------------------------------------------------------
 
@@ -282,9 +280,8 @@ class SimulatedChannel:
         lookback = policy.recovery_delay_us + 2 * policy.pcu_period_us
         while True:
             t0 = max(0, start_us - lookback)
-            live = np.concatenate([self._activity(core, t0, end_us)
-                                   for core in range(policy.core_count)])
-            times, counts = step_function(live[:, 0], live[:, 1], t0)
+            live = self._live(t0, end_us, range(policy.core_count))
+            times, counts = step_function(*live, t0)
             segments, exact_from = pcu_walk(policy, times, counts, end_us)
             if exact_from is not None and exact_from <= start_us:
                 break
@@ -343,7 +340,7 @@ class SimulatedChannel:
         if n <= 0:
             return SampleSeries(first, window_us, np.empty(0, dtype=np.int64),
                                 np.empty(0, dtype=bool))
-        bounds = first + window_us * np.arange(n + 1, dtype=np.int64)
+        bounds = np.arange(first, first + window_us * (n + 1), window_us, dtype=np.int64)
 
         t0, t1 = int(bounds[0]), int(bounds[-1])
         seg_t, seg_f = self.frequency_trace(t0, t1).segments.T
@@ -355,10 +352,8 @@ class SimulatedChannel:
         if lo < hi:  # some suspension may overlap the span
             live = np.clip(np.array(endpoint.suspensions[lo:hi], dtype=np.int64), t0, t1)
             depth_t, depth = step_function(live[:, 0], live[:, 1], t0)
-            # merge the two breakpoint lists by sorting (np.unique would
-            # import numpy.ma, 1.6 MB, on its first call)
+            # merge the two breakpoint lists: a time in both adds an empty segment
             rate_t = np.sort(np.concatenate([seg_t, depth_t]))
-            rate_t = rate_t[np.append(rate_t[1:] != rate_t[:-1], True)]
             rate = (seg_f[np.searchsorted(seg_t, rate_t, side="right") - 1]
                     * (1 - depth[np.searchsorted(depth_t, rate_t, side="right") - 1]))
             # a window is missing when one suspension starting at or before
@@ -371,10 +366,10 @@ class SimulatedChannel:
         counts = integrals * 1e-6  # Hz*us to cycles
         if self.jitter_sigma > 0:
             g = endpoint.jitter.normal(0.0, self.jitter_sigma, size=n)
-            counts = counts * (1.0 + g)
-        counts = np.rint(np.maximum(counts, 0.0)).astype(np.int64)
+            counts *= 1.0 + g
+        counts = np.rint(np.maximum(counts, 0.0, out=counts), out=counts).astype(np.int64)
         counts[missing] = 0
-        return SampleSeries(int(bounds[0]), window_us, counts, missing)
+        return SampleSeries(t0, window_us, counts, missing)
 
 
 def _merge_suffix(merged: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -397,6 +392,10 @@ def _window_integrals(seg_t: np.ndarray, seg_f: np.ndarray,
     differences all wrap alike, so each window's integral is still exact
     while it fits in int64 itself.
     """
-    i = np.searchsorted(seg_t, bounds, side="right") - 1
-    cum = np.append(0, np.cumsum(seg_f[:-1] * np.diff(seg_t)))
-    return np.diff(cum[i] + seg_f[i] * (bounds - seg_t[i]))
+    i = seg_t.searchsorted(bounds, side="right") - 1
+    # a step of rise[k] at seg_t[k] adds rise[k] * (t - seg_t[k]) to the integral to t
+    rise = seg_f.copy()
+    rise[1:] -= seg_f[:-1]
+    at = seg_f[i] * bounds
+    at -= (rise * seg_t).cumsum()[i]
+    return at[1:] - at[:-1]

@@ -258,14 +258,15 @@ def step_function(starts: np.ndarray, ends: np.ndarray,
     the last count holds from the last time on, and times[0] == origin. No
     start may lie before ``origin``.
     """
-    times = np.concatenate([[origin], starts, ends])
-    deltas = np.concatenate([[0], np.ones(len(starts), dtype=np.int64),
-                             np.full(len(ends), -1, dtype=np.int64)])
-    order = np.argsort(times, kind="stable")
+    times = np.concatenate(((origin,), starts, ends))
+    deltas = np.ones(len(times), dtype=np.int64)
+    deltas[0], deltas[len(starts) + 1:] = 0, -1
+    order = times.argsort(kind="stable")
     times = times[order]
-    counts = np.cumsum(deltas[order])
+    counts = deltas[order].cumsum()
     # keep the final count at each distinct time
-    keep = np.append(times[1:] != times[:-1], True)
+    keep = np.ones(len(times), dtype=bool)
+    np.not_equal(times[1:], times[:-1], out=keep[:-1])
     return times[keep], counts[keep]
 
 
@@ -322,22 +323,25 @@ def pcu_walk(policy: TurboPolicy, times: np.ndarray, counts: np.ndarray,
     decides = np.concatenate(((True,), targets[1:] != targets[:-1]))[:len(targets)]
     ticks, targets = ticks[decides], targets[decides]
 
-    holds = ticks + delay <= np.concatenate((ticks[1:], (end_us - 1,)))
-    # entry 0 of freqs (and of when) is the state the walk starts in; each
-    # run from a holding decision on is lifted clear of all before it, so the
-    # running minimum restarts there
-    lift = holds.cumsum() * top
-    freqs = np.minimum.accumulate(np.concatenate(
-        ((top if start == 0 else policy.levels[-1][1],), targets - lift)))
-    freqs[1:] += lift
-    before = freqs[:-1]
-    rises = freqs[1:] > before
-    # a fall takes effect at its tick, a rise when its ramp fires
-    when = np.concatenate(((start,), ticks + delay * rises))
-    # the walk is exact from the first decision at or below the frequency it
-    # meets, or from the first ramp that fires
-    exact = (holds | (targets <= before)).nonzero()[0]
-    exact_from = int(when[exact[0] + 1]) if len(exact) else None
+    # entry 0 of freqs (and of when) is the state the walk starts in;
+    # without a ramp, every decision holds and takes effect at its tick
+    freqs = np.concatenate(((top if start == 0 else policy.levels[-1][1],), targets))
+    when = np.concatenate(((start,), ticks))
+    exact_from = int(ticks[0]) if len(ticks) else None
+    if delay:
+        holds = ticks + delay <= np.concatenate((ticks[1:], (end_us - 1,)))
+        # each run from a holding decision on is lifted clear of all before
+        # it, so the running minimum restarts there
+        lift = holds.cumsum() * top
+        freqs[1:] -= lift
+        np.minimum.accumulate(freqs, out=freqs)
+        freqs[1:] += lift
+        before = freqs[:-1]
+        when[1:] += delay * (freqs[1:] > before)  # a rise waits for its ramp
+        # the walk is exact from the first decision at or below the
+        # frequency it meets, or from the first ramp that fires
+        exact = (holds | (targets <= before)).nonzero()[0]
+        exact_from = int(when[exact[0] + 1]) if len(exact) else None
 
     # the last change at each time wins, and equal neighbours merge
     last = np.concatenate((when[1:] != when[:-1], (True,)))
@@ -453,7 +457,8 @@ def _idle_blocks(profile: NoiseProfile, horizon_us: int, pool: list[int]):
     the order ``_poisson_events`` and ``rng.choices`` would make them: the
     exponential gap, then the duration pick. A block pulls those uniforms in
     one go and does the arithmetic in numpy, operation for operation, so
-    the stream is bit for bit the one-at-a-time draw.
+    the stream is bit for bit the one-at-a-time draw. Capped blocks draw from
+    numpy's Mersenne Twister at the generator's state: it builds doubles alike.
     """
     rates = {d: r for d, r in profile.rates().items() if r > 0}
     if not rates or not pool:
@@ -475,18 +480,24 @@ def _idle_blocks(profile: NoiseProfile, horizon_us: int, pool: list[int]):
         if len(starts) < n:
             return
         idx += n
+        if n < _BLOCK_MAX <= 2 * n:  # long enough to pay for the copy
+            *key, pos = rng.getstate()[1]
+            rng = np.random.Generator(np.random.MT19937())
+            rng.bit_generator.state = {"bit_generator": "MT19937",
+                                       "state": {"key": np.array(key), "pos": pos}}
         n = min(2 * n, _BLOCK_MAX)
 
 
-def _draw_wakeups(rng: random.Random, n: int, t: float, total_rate: float,
-                  cum_weights: np.ndarray, horizon_us: int
+def _draw_wakeups(rng: random.Random | np.random.Generator, n: int, t: float,
+                  total_rate: float, cum_weights: np.ndarray, horizon_us: int
                   ) -> tuple[np.ndarray, np.ndarray, float]:
     """The next ``n`` wakeups after the float time ``t``: the start (us) of
     each that begins before the horizon, its duration index, and the float
     arrival time of the last one drawn. The logarithm stays ``math.log``:
     ``np.log`` differs from it in the last place on some inputs, and one gap
     moves every later start."""
-    u = np.fromiter(starmap(rng.random, repeat((), 2 * n)), np.float64, 2 * n)
+    u = (rng.random(2 * n) if isinstance(rng, np.random.Generator)
+         else np.fromiter(starmap(rng.random, repeat((), 2 * n)), np.float64, 2 * n))
     # expovariate: -log(1 - u) / rate, in seconds, then scaled to us
     logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, n)
     with np.errstate(over="ignore"):  # a tiny rate gives an infinite gap

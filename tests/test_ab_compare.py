@@ -7,6 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_compare.py"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def _run(*args):
@@ -19,6 +22,7 @@ def test_a_checkout_against_itself_writes_identical_outputs():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == [f"A {ROOT}", f"B {ROOT}"]
+    assert lines[2].startswith(f"quiet-link at seed {workloads.DEFAULT_SEED}: ")
     assert "of 60 operations, 1 repeats; outputs identical" in lines[2]
     # one operation named with both medians and their ratio
     worst = re.fullmatch(r"largest B/A median ratio: quiet-link/\d+us/\d+: "
@@ -37,3 +41,15 @@ def test_the_configs_workload_runs_each_side_on_its_own_modules():
     lines = done.stdout.splitlines()
     assert "of 7 operations, 1 repeats; outputs identical" in lines[2]
     assert lines[3].startswith("largest B/A median ratio: ")
+
+
+def test_a_fifth_argument_is_the_workload_seed():
+    done = _run(ROOT, ROOT, "slow-ramp", 1, 23)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[2].startswith("slow-ramp at seed 23: B faster on ")
+    assert "of 3 operations, 1 repeats; outputs identical" in lines[2]
+    # the operation it names is one of the seed-23 runs
+    worst = re.match(r"largest B/A median ratio: (\S+): ", lines[3]).group(1)
+    assert worst in {op.name for op in workloads.build("slow-ramp", 23).operations}
+    assert worst not in {op.name for op in workloads.build("slow-ramp", 1).operations}

@@ -14,16 +14,23 @@ from strategies import noise_profiles
 from turbochannel.phy import SampleSeries, SimulatedChannel, _window_integrals
 from turbochannel.turbo import (ActivityTrace, DomainError, FrequencyTrace,
                                 NoiseProfile, _coalesce, apply_policy,
-                                builtin_policy, noise_stream)
+                                builtin_policy, noise_stream, step_function)
 
 XEON = builtin_policy("xeon-silver-4108")
 RYZEN = builtin_policy("ryzen-2700x-like")
 GHZ = 1_000_000_000
 
 
+def core_activity(sim, core, t0, t1):
+    """A core's activity on [t0, t1), coalesced and clipped to the span, as
+    [start, end) rows."""
+    starts, ends = sim._live(t0, t1, (core,))
+    return np.column_stack((starts, np.minimum(ends, t1))).tolist()
+
+
 def whole_activity(sim, core):
     """A core's activity over the whole horizon, as [start, end) rows."""
-    return sim._activity(core, 0, sim.horizon_us).tolist()
+    return core_activity(sim, core, 0, sim.horizon_us)
 
 
 def quiet_sim(**kw):
@@ -268,7 +275,7 @@ class TestTimelineConsistency:
         sim = quiet_sim(preempt_intervals={"receiver": [(10_000, 20_000)]})
         sim.commit_core(0, 0, 50_000)
         sim.commit_core(sim.receiver.sampling_core, 15_000, 25_000)
-        assert sim._activity(2, 12_000, 22_000).tolist() == [[12_000, 22_000]]
+        assert core_activity(sim, 2, 12_000, 22_000) == [[12_000, 22_000]]
         assert sim.frequency_trace(12_000, 22_000).segments.tolist() == [
             [12_000, 3 * GHZ]]
 
@@ -547,6 +554,22 @@ class TestLazyNoise:
         assert lazy.frequency_trace(*later) == eager.frequency_trace(*later)
         assert len(eager.frequency_trace(*later).segments) > 1
 
+    def test_a_query_never_writes_into_the_noise_rows(self):
+        # the constant load is one row over the whole horizon, so the span
+        # starts inside it, and the gather clips that start to the span
+        sim = self.channel(XEON, [NoiseProfile("constant-load", constant_cores=1),
+                                  NoiseProfile("idle-background", seed=3)], 0)
+        sim._expand_noise(self.HORIZON)
+        static = [rows.copy() for rows in sim._static]
+        span = (1_500_500, 1_700_000)
+        first = sim.frequency_trace(*span)
+        assert sim.frequency_trace(*span) == first
+        assert all(np.array_equal(a, b) for a, b in zip(sim._static, static))
+        row = sim._static[sim.noise_pool[0]][:1]
+        assert row.tolist() == [[0, self.HORIZON]]
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = span[0]
+
     def test_finished_channel_is_freed_without_the_cycle_collector(self):
         # a channel holds its timeline and its streams' pending noise blocks;
         # nothing it owns points back at it, so dropping it frees them at once
@@ -648,3 +671,55 @@ class TestIncrementalTimeline:
                     ref.truncate(core, t)
             for core in range(8):
                 assert whole_activity(sim, core) == ref.intervals(core).tolist()
+
+
+class TestGather:
+    HORIZON = 2_000_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles=st.lists(noise_profiles(), max_size=2),
+           suspensions=st.fixed_dictionaries({
+               role: st.lists(st.tuples(st.integers(0, 40).map(lambda k: k * 10_000)
+                                        | st.integers(0, 400_000), _spans()),
+                              max_size=6)
+               for role in ("sender", "receiver")}),
+           commits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400_000), _spans()),
+                            max_size=12),
+           cuts=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400_000)), max_size=3),
+           span=st.tuples(st.integers(0, 400_000), st.integers(1, 200_000)))
+    def test_matches_each_cores_coalesced_union(self, profiles, suspensions, commits,
+                                                 cuts, span):
+        # commits land on noise cores and on sampling cores, and both
+        # processes' suspensions overlap each other and the commits
+        sim = SimulatedChannel(XEON, self.HORIZON, tx_core_count=2, noise=profiles,
+                               preempt_intervals={
+                                   role: [(s, s + n) for s, n in rows]
+                                   for role, rows in suspensions.items()})
+        for core, start, length in commits:
+            sim.commit_core(core, start, min(start + length, self.HORIZON))
+        for core, t in cuts:
+            sim.truncate_core_after(core, t)
+        t0, t1 = span[0], span[0] + span[1]
+        sim._expand_noise(t1)
+
+        # the reference: each core's noise, commits and suspensions in one
+        # coalesced union, then the rows that reach into the span, clipped
+        rows = []
+        for core in range(8):
+            sources = [sim._static[core], np.array([sim._starts[core], sim._ends[core]],
+                                                   dtype=np.int64).T]
+            if core in sim._anchored:
+                sources.append(np.array(sim._anchored[core].suspensions,
+                                        dtype=np.int64).reshape(-1, 2))
+            union = _coalesce(np.concatenate(sources))
+            rows.append(np.clip(union[(union[:, 1] > t0) & (union[:, 0] < t1)], t0, t1))
+        rows = np.concatenate(rows)
+        want = step_function(rows[:, 0], rows[:, 1], t0)
+        got = step_function(*sim._live(t0, t1, range(8)), t0)
+
+        # the gather keeps ends past t1: the steps agree up to t1
+        def before_t1(times, counts):
+            k = times.searchsorted(t1)
+            return times[:k].tolist(), counts[:k].tolist()
+
+        assert before_t1(*got) == before_t1(*want)

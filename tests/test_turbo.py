@@ -392,6 +392,18 @@ class TestNoiseStream:
         assert _items(noise_stream(profile, 100_000_000, 8)) == _idle_reference(
             4, IDLE_EVENT_RATES, 100_000_000, list(range(8)))
 
+    def test_numpy_twister_goes_on_with_the_cpython_stream(self):
+        # a long idle stream moves its generator's state into numpy's
+        # Mersenne Twister there; both must build the same doubles from it
+        rng = random.Random("noise:idle-background:3")
+        for _ in range(1_793):
+            rng.random()
+        *key, pos = rng.getstate()[1]
+        twister = np.random.Generator(np.random.MT19937())
+        twister.bit_generator.state = {"bit_generator": "MT19937",
+                                       "state": {"key": np.array(key), "pos": pos}}
+        assert twister.random(100_000).tolist() == [rng.random() for _ in range(100_000)]
+
     def test_checks_run_before_the_first_interval(self):
         too_many = [NoiseProfile("constant-load", constant_cores=3),
                     NoiseProfile("custom", toggle_cores=3)]

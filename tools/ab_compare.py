@@ -1,5 +1,5 @@
 """Time a workload of two checkouts, interleaved in one process:
-``python3 tools/ab_compare.py CHECKOUT_A CHECKOUT_B WORKLOAD REPEATS``.
+``python3 tools/ab_compare.py CHECKOUT_A CHECKOUT_B WORKLOAD REPEATS [SEED]``.
 
 Each checkout's perfbench/workloads.py, with its src/turbochannel, is its own
 module set; each operation runs on both in turn, the first side alternating
@@ -10,7 +10,8 @@ files from its own directory. Prints each side's sweep time and median
 operation (medians over the repeats), how many operations B ran faster,
 whether the outputs match, and the operation with the largest B/A median
 ratio with both its medians: one slow operation can hide inside a flat
-sweep total.
+sweep total. SEED is the workload seed, by default the benchmark's
+``DEFAULT_SEED``.
 """
 
 import importlib.util
@@ -38,13 +39,15 @@ def load(checkout: Path, tag: str):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 4 or argv[2] not in ("load-sweep", "slow-ramp", "quiet-link", "configs"):
+    names = ("load-sweep", "slow-ramp", "quiet-link", "configs")
+    if len(argv) not in (4, 5) or argv[2] not in names:
         sys.exit(__doc__)
     paths, workload, repeats = dict(zip("AB", argv[:2])), argv[2], int(argv[3])
     modules, module_sets = {}, {}
     for tag, p in paths.items():
         modules[tag], module_sets[tag] = load(Path(p).resolve(), tag)
-    sides = {tag: m.build(workload, m.DEFAULT_SEED) for tag, m in modules.items()}
+    seed = int(argv[4]) if len(argv) == 5 else modules["A"].DEFAULT_SEED
+    sides = {tag: m.build(workload, seed) for tag, m in modules.items()}
     n = len(sides["A"].operations)
     ms = {tag: [[] for _ in range(n)] for tag in sides}
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,8 +72,8 @@ def main(argv: list[str]) -> int:
         print(f"{tag} {p}: sweep {sweep:.3f} s, "
               f"median operation {statistics.median(med[tag]):.2f} ms")
     faster = sum(x < y for x, y in zip(med["B"], med["A"]))
-    print(f"{workload}: B faster on {faster} of {n} operations, {repeats} repeats; "
-          f"outputs {'identical' if same else 'DIFFER'}")
+    print(f"{workload} at seed {seed}: B faster on {faster} of {n} operations, "
+          f"{repeats} repeats; outputs {'identical' if same else 'DIFFER'}")
     worst = max(range(n), key=lambda i: med["B"][i] / med["A"][i])
     a, b = med["A"][worst], med["B"][worst]
     print(f"largest B/A median ratio: {sides['A'].operations[worst].name}: "
