@@ -21,7 +21,7 @@ from .link import (FRAME_BITS, PAYLOAD_BYTES, SYNC_WORD, LinkConfig,
                    TransferFailed, bytes_of_bits, encode_frame, listen,
                    next_frame, pad_payload, run_transfer)
 from .modem import ModemConfig, StreamAssembler, default_threshold, modulate
-from .phy import SimulatedChannel
+from .phy import MIN_WINDOW_US, SimulatedChannel
 from .turbo import (MAX_EVENT_RATE, US_PER_MS, ActivityTrace, DomainError,
                     NoiseProfile, TurboPolicy, apply_policy,
                     builtin_policy, builtin_policy_names, generate_noise,
@@ -119,12 +119,19 @@ class Scenario:
             raise ConfigError("payload_bytes must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.oversampling < 3:
-            raise ConfigError(f"oversampling must be >= 3, got {self.oversampling}")
         for bt in self.bit_times_us:
-            if bt % self.oversampling:
-                raise ConfigError(f"bit time {bt} us is not divisible by "
-                                  f"oversampling {self.oversampling}")
+            try:
+                window = ModemConfig(bt, 1.0, self.oversampling, self.glitch_max).window_us
+            except DomainError as exc:
+                raise ConfigError(f"bit time {bt} us: {exc}") from None
+            if window < MIN_WINDOW_US:
+                raise ConfigError(f"bit time {bt} us with oversampling {self.oversampling} "
+                                  f"samples {window} us windows, below {MIN_WINDOW_US} us")
+        for key in ("constant_cores", "countermeasure_cores"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.tx_cores is not None and self.tx_cores < 1:
+            raise ConfigError(f"tx_cores must be >= 1, got {self.tx_cores}")
         tx = self.planned_tx_cores()
         noise_cores = self.constant_cores
         if self.countermeasure == "artificial-noise":
@@ -422,10 +429,9 @@ def record_packet_outcomes(s: Scenario, bit_time_us: int, seed: int,
 
     span_end = t0 + (packet_count * slot_bits + 8) * bit_time_us
     asm = StreamAssembler(data_cfg)
-    listen(sim, sim.receiver, data_cfg, asm, (0, span_end))
+    listen(sim, sim.receiver, asm, (0, span_end))
     asm.end_segment(span_end)
-    bits = "".join(asm.bits)
-    times = asm.bit_times
+    bits, times = asm.bits, asm.bit_times
 
     received: dict[int, bytes] = {}
     sync_len = len(SYNC_WORD)

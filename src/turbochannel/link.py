@@ -185,10 +185,10 @@ class ArqReceiver:
         self.expected_seq = 0
         self.data = bytearray()
 
-    def feed(self, bits: str, times: Sequence[int] | None = None) -> list[tuple[int, int]]:
+    def feed(self, bits: str, times: Sequence[int]) -> list[tuple[int, int]]:
         """Returns ack requests as (seq, decided_time_us)."""
         self._bits += bits
-        self._times.extend([0] * len(bits) if times is None else times)
+        self._times.extend(times)
         acks: list[tuple[int, int]] = []
         while (idx := next_frame(self._bits, self._scan, FRAME_BITS)) is not None:
             try:
@@ -256,15 +256,15 @@ class ArqSender:
         return self.stats
 
 
-def listen(sim: SimulatedChannel, endpoint: ChannelEndpoint, cfg: ModemConfig,
-           asm: StreamAssembler, span: tuple[int, int]) -> tuple[str, list[int]]:
-    """Run the endpoint's counting loop over ``span``, classify each window
-    and feed ``asm``. Returns the bits this span added, with the times they
-    became known."""
-    series = sim.sample_frequency(endpoint, cfg.window_us, span)
+def listen(sim: SimulatedChannel, endpoint: ChannelEndpoint, asm: StreamAssembler,
+           span: tuple[int, int]) -> tuple[str, list[int]]:
+    """Run the endpoint's counting loop over ``span`` on the window of
+    ``asm.cfg``, classify each window by its threshold and feed ``asm``.
+    Returns the bits this span added, with the times they became known."""
+    series = sim.sample_frequency(endpoint, asm.cfg.window_us, span)
     fed = len(asm.bits)
-    asm.feed(classify_array(series, cfg.threshold), series.end_times())
-    return "".join(asm.bits[fed:]), asm.bit_times[fed:]
+    asm.feed(classify_array(series, asm.cfg.threshold), series.start_us)
+    return asm.bits[fed:], asm.bit_times[fed:]
 
 
 def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
@@ -308,8 +308,7 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
         rx_chunk_end = min(max(nominal_end, listen_start) + decode_slack, deadline)
         ack_plan = None
         if rx_pos < rx_chunk_end:
-            acks = receiver.feed(*listen(sim, sim.receiver, data_cfg, rx_asm,
-                                         (rx_pos, rx_chunk_end)))
+            acks = receiver.feed(*listen(sim, sim.receiver, rx_asm, (rx_pos, rx_chunk_end)))
             if acks:
                 ack_plan = acks[-1]
             rx_pos = rx_chunk_end
@@ -332,10 +331,9 @@ def run_transfer(sim: SimulatedChannel, payload: bytes, link_cfg: LinkConfig,
         ack_time = None
         if listen_start < deadline:
             s_asm = StreamAssembler(ack_cfg)
-            listen(sim, sim.sender, ack_cfg, s_asm, (listen_start, deadline))
+            listen(sim, sim.sender, s_asm, (listen_start, deadline))
             s_asm.end_segment(deadline)
-            ack_time, corrupt = scan_ack("".join(s_asm.bits), s_asm.bit_times,
-                                         sender.current_seq)
+            ack_time, corrupt = scan_ack(s_asm.bits, s_asm.bit_times, sender.current_seq)
             sender.stats.acks_corrupted += corrupt
 
         if ack_time is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ class ModemConfig:
 
     def __post_init__(self):
         if self.oversampling < 3:
-            raise DomainError("oversampling must be >= 3")
+            raise DomainError(f"oversampling must be >= 3, got {self.oversampling}")
         if self.glitch_max is None:
             object.__setattr__(self, "glitch_max",
                                min(2, max(1, (self.oversampling - 1) // 2)))
@@ -104,16 +103,15 @@ class StreamAssembler:
     1s). Bits are emitted as soon as they are decidable: a run is promoted
     once it outgrows glitch_max, and a growing tail run emits its bits
     incrementally (needed so frames whose last bits are 0 decode during the
-    following silence instead of at the next edge). ``bit_times`` records
-    when each bit became known. Each chunk is decoded in one array pass over
-    its runs; the tail run and a short run carried from earlier chunks are a
-    virtual prefix of the chunk.
+    following silence instead of at the next edge). ``bits`` is the decoded
+    stream so far and ``bit_times`` records when each bit became known. Each
+    chunk is decoded in one array pass over its runs; the tail run and a
+    short run carried from earlier chunks are a virtual prefix of the chunk.
     """
 
     def __init__(self, cfg: ModemConfig):
-        self._os = cfg.oversampling
-        self._gmax = cfg.glitch_max
-        self.bits: list[str] = []
+        self.cfg = cfg
+        self.bits = ""
         self.bit_times: list[int] = []
         self._reset_runs()
 
@@ -125,30 +123,24 @@ class StreamAssembler:
         self._raw = 0
         self._lead = 0
 
-    def feed(self, values: Sequence[bool | None], end_times: Sequence[int]):
-        """Decode the next chunk: True/1 high, False/0 low, None/-1 missing,
-        one sample ending at each of ``end_times``."""
-        n = len(values)
-        if len(end_times) != n:
-            raise DomainError("values and end_times must have the same length")
-        if n == 0:
+    def feed(self, values: np.ndarray, start_us: int):
+        """Decode the next chunk of ``classify_array`` codes (1 high, 0 low,
+        -1 missing), sampled on the window grid: sample i ends at
+        ``start_us + window_us * (i + 1)``."""
+        if not len(values):
             return
-        if isinstance(values, np.ndarray):
-            arr = values.astype(np.int8, copy=False)
-        else:
-            arr = np.fromiter(((-1 if v is None else int(v)) for v in values),
-                              dtype=np.int8, count=n)
-        times = np.asarray(end_times, dtype=np.int64)
-
+        arr = values
+        os_, gmax, window = self.cfg.oversampling, self.cfg.glitch_max, self.cfg.window_us
         if self._tail is None:
             # stream head: leading missings inherit the first real value,
             # stamped with the time that value arrived (clamped to index 0)
             lead = 0 if arr[0] >= 0 else int(np.argmax(arr >= 0))
             if arr[lead] < 0:
-                self._lead += n
+                self._lead += len(arr)
                 return
             if lead:
-                arr, times = arr[lead:], times[lead:]
+                arr = arr[lead:]
+                start_us += lead * window
             value, length, raw = int(arr[0]), self._lead + lead, 0
         else:
             (value, length), raw = self._tail, self._raw
@@ -170,7 +162,7 @@ class StreamAssembler:
         if heads:
             bounds = np.concatenate((heads, bounds))
         lengths = bounds[1:] - bounds[:-1]
-        long = lengths > self._gmax
+        long = lengths > gmax
         long[0] = True  # the tail, or the head of a stream, is never a glitch
         if long.all():  # no glitch: each run is a group of its own
             glitch, undecided, edges = None, 0, bounds
@@ -195,13 +187,13 @@ class StreamAssembler:
         # rounds in. A finished group that rounds to nothing still yields
         # one bit, at its successor's cross sample (where that run outgrew
         # glitch_max): its start moves to that sample less lag.
-        os_, lag = self._os, (self._os + 1) // 2 - 1
+        lag = (os_ + 1) // 2 - 1
         total = _round_half_up(group_len, os_)
         count, start = total, group_start
         if 0 in total.tolist():
             count = np.maximum(total, 1)
             count[-1] = total[-1]
-            start = np.where(total, group_start, group_start + group_len + self._gmax - lag)
+            start = np.where(total, group_start, group_start + group_len + gmax - lag)
         # the carried tail has emitted the bits its length rounds to
         emitted = _round_half_up(length, os_) if self._tail else 0
         if emitted:
@@ -221,24 +213,24 @@ class StreamAssembler:
                 at = np.maximum(at, floor[bounds.searchsorted(at, side="right") - 1])
             if at[0] < 0:  # ready among leading missings
                 np.maximum(at, 0, out=at)
-            self.bit_times.extend(times[at].tolist())
+            self.bit_times.extend((at * window + (start_us + window)).tolist())
             # each bit's group index, mod 256, spelled by its parity
             group_of = np.arange(groups, dtype=np.uint8).repeat(count)
-            self.bits.extend(group_of.tobytes().translate(_DIGITS[value]).decode())
+            self.bits += group_of.tobytes().translate(_DIGITS[value]).decode()
 
         self._tail = (value ^ ((groups - 1) & 1), int(group_len[-1]))
         self._raw = int(lengths[-1]) if undecided else 0
 
-    def end_segment(self, t_us: int | None = None):
-        """Close the current sample run (the process stopped listening)."""
-        t = t_us if t_us is not None else (self.bit_times[-1] if self.bit_times else 0)
+    def end_segment(self, t_us: int):
+        """Close the current sample run (the process stopped listening at
+        ``t_us``)."""
         if self._tail is not None:
             # a tail too short to round to a bit still yields one, and so
             # does the undecided run after it: it is a boundary run, kept
             value, length = self._tail
-            ends = [value] if _round_half_up(length, self._os) == 0 else []
+            ends = [value] if _round_half_up(length, self.cfg.oversampling) == 0 else []
             if self._raw:
                 ends.append(value ^ 1)
-            self.bits.extend("0" if v == HIGH else "1" for v in ends)
-            self.bit_times.extend([t] * len(ends))
+            self.bits += "".join("0" if v == HIGH else "1" for v in ends)
+            self.bit_times.extend([t_us] * len(ends))
         self._reset_runs()

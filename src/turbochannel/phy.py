@@ -32,8 +32,9 @@ _MIN_FRONTIER_STEP_US = 1 << 20
 
 @dataclass
 class SampleSeries:
-    """Counting-loop output: one count per fixed window, None where the
-    sampling process was preempted for the whole window."""
+    """Counting-loop output: one count per fixed window, window i ending at
+    ``start_us + window_us * (i + 1)``. A window for which the sampling
+    process was suspended whole holds 0 and is flagged in ``missing``."""
 
     start_us: int
     window_us: int
@@ -42,10 +43,6 @@ class SampleSeries:
 
     def __len__(self):
         return len(self.counts)
-
-    def end_times(self) -> np.ndarray:
-        a, w = self.start_us, self.window_us
-        return np.arange(a + w, a + w * (len(self.counts) + 1), w, dtype=np.int64)
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ own, as ``harness.noise_change_histogram`` once did; the helpers below them
 read traces, sample series and CSV files back.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +30,11 @@ class BinarySampleStream:
     """Thresholded samples: True=high, False=low, None=missing."""
 
     values: list[bool | None]
-    times_us: list[int] = field(default_factory=list)  # sample end times, optional
+
+
+def int8_codes(values: Sequence[bool | None]) -> np.ndarray:
+    """Samples as ``classify_array`` codes them: 1 high, 0 low, -1 missing."""
+    return np.array([-1 if v is None else int(v) for v in values], dtype=np.int8)
 
 
 def classify(series: SampleSeries, threshold: float) -> BinarySampleStream:
@@ -39,7 +43,7 @@ def classify(series: SampleSeries, threshold: float) -> BinarySampleStream:
         raise DomainError("threshold must be > 0")
     values = [None if m else c > threshold
               for c, m in zip(series.counts.tolist(), series.missing.tolist())]
-    return BinarySampleStream(values, series.end_times().tolist())
+    return BinarySampleStream(values)
 
 
 def _fill_missing(values: Sequence[bool | None], lead: bool | None = None) -> list[bool]:
@@ -103,12 +107,12 @@ def reject_glitches(stream: BinarySampleStream, glitch_max: int) -> BinarySample
         raise DomainError("glitch_max must be >= 1")
     filled = _fill_missing(stream.values)
     if not filled:
-        return BinarySampleStream([], list(stream.times_us))
+        return BinarySampleStream([])
     runs = _reject_runs(_to_runs(filled), glitch_max)
     values: list[bool | None] = []
     for v, n in runs:
         values.extend([v] * n)
-    return BinarySampleStream(values, list(stream.times_us))
+    return BinarySampleStream(values)
 
 
 def demodulate(stream: BinarySampleStream, cfg: ModemConfig) -> str:

@@ -8,7 +8,8 @@ import contextlib
 import random
 import time
 
-from oracles import BinarySampleStream, classify, demodulate, reject_glitches
+from oracles import (BinarySampleStream, classify, demodulate, int8_codes,
+                     reject_glitches)
 
 from turbochannel.fec import (FecModel, PacketOutcome, attempts_needed,
                               estimate_goodput, rs_correctable)
@@ -66,9 +67,9 @@ def test_c02_modem_round_trip():
             end = start + (len(wire) + 3) * bt
             series = sim.sample_frequency(sim.receiver, cfg.window_us, (0, end))
             asm = StreamAssembler(cfg)
-            asm.feed(classify_array(series, thr), series.end_times())
+            asm.feed(classify_array(series, thr), series.start_us)
             asm.end_segment(end)
-            decoded = "".join(asm.bits)
+            decoded = asm.bits
             assert ("0" + wire + "0") in ("0" + decoded + "0"), (i, os_, bits)
             assert decoded == _batch_decode(classify(series, thr), cfg), (i, os_)
 
@@ -81,11 +82,11 @@ def _batch_decode(stream, cfg):
 def _assemble(values, cfg, chunk=7):
     """StreamAssembler's bits for one stream fed in chunks of ``chunk``
     samples, as the receiver feeds it."""
-    asm = StreamAssembler(cfg)
+    asm, codes = StreamAssembler(cfg), int8_codes(values)
     for a in range(0, len(values), chunk):
-        asm.feed(values[a:a + chunk], range(a + 1, min(a + chunk, len(values)) + 1))
-    asm.end_segment(len(values))
-    return "".join(asm.bits)
+        asm.feed(codes[a:a + chunk], cfg.window_us * a)
+    asm.end_segment(cfg.window_us * len(values))
+    return asm.bits
 
 
 def _inject_interior_flips(values, rng, gmax, count):
@@ -179,7 +180,8 @@ def test_c05_arq_exactly_once():
                 guard += 1
                 assert guard < 50_000
                 sender.begin_attempt()
-                acks = receiver.feed(channel.send(sender.frame_bits()))
+                frame = channel.send(sender.frame_bits())
+                acks = receiver.feed(frame, range(len(frame)))
                 ok = any(scan_ack(bits := channel.send(encode_frame(seq)),
                                   range(len(bits)), sender.current_seq)[0] is not None
                          for seq, _ in acks)

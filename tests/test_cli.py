@@ -157,12 +157,22 @@ def test_preemption_rate_is_bounded(tmp_path, capsys, line):
     ("turbo-off", "max_retries = -3", "max_retries"),
     # a negative or nan sigma ran without jitter
     ("vm-guests", "jitter_sigma = -0.1", "jitter_sigma"),
-    ("vm-guests", "jitter_sigma = nan", "jitter_sigma")])
+    ("vm-guests", "jitter_sigma = nan", "jitter_sigma"),
+    # these loaded, and failed only once the first run built its channel
+    ("turbo-off", "glitch_max = 4", "glitch_max"),
+    ("turbo-off", "tx_cores = 0", "tx_cores"),
+    ("countermeasure-noise", "countermeasure_cores = -1", "countermeasure_cores"),
+    ("turbo-off", "bit_time_ms = 0.24\noversampling = 3", "oversampling"),
+    # this one failed on the preemption bounds, without naming the key
+    ("turbo-off", "constant_cores = -1", "constant_cores")])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, config, line, key):
     cfg = tmp_path / f"{config}.cfg"
     cfg.write_text((CONFIGS / f"{config}.cfg").read_text() + line + "\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert main(["noise-histogram", str(cfg), "--runs", "1",
+                 "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
 

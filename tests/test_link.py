@@ -201,7 +201,8 @@ def drive_arq(payload: bytes, p_corrupt: float, seed: int,
         guard += 1
         assert guard < 100_000, "ARQ livelock"
         sender.begin_attempt()
-        acks = receiver.feed(channel.send(sender.frame_bits()))
+        frame = channel.send(sender.frame_bits())
+        acks = receiver.feed(frame, range(len(frame)))
         got_ack = False
         for seq, _ in acks:
             bits = channel.send(encode_frame(seq))
@@ -252,7 +253,7 @@ class TestArqStateMachines:
             bits = sender.frame_bits()
             if sender._attempt == 1:
                 bits = ("1" if bits[20] == "0" else "0").join((bits[:20], bits[21:]))
-            acks = receiver.feed(bits)
+            acks = receiver.feed(bits, range(len(bits)))
             if acks:
                 sender.ack_received()
             else:
@@ -264,8 +265,8 @@ class TestArqStateMachines:
     def test_duplicate_frame_reacked_not_redelivered(self):
         receiver = ArqReceiver()
         frame = encode_frame(0, bytes(range(8)))
-        first = receiver.feed(frame)
-        again = receiver.feed(frame)
+        first = receiver.feed(frame, range(len(frame)))
+        again = receiver.feed(frame, range(len(frame)))
         assert [a[0] for a in first] == [0]
         assert [a[0] for a in again] == [0]
         assert receiver.data == bytes(range(8))
@@ -274,7 +275,7 @@ class TestArqStateMachines:
         receiver = ArqReceiver()
         chunks = [bytes([i] * 8) for i in range(3)]
         for i, c in enumerate(chunks):
-            receiver.feed(encode_frame(i, c))
+            receiver.feed(encode_frame(i, c), range(FRAME_BITS))
         assert receiver.data == b"".join(chunks)
 
     def test_flipped_sync_bit_means_frame_not_seen(self):
@@ -283,9 +284,9 @@ class TestArqStateMachines:
         receiver = ArqReceiver()
         frame = encode_frame(0, bytes(range(8)))
         broken = ("1" if frame[3] == "0" else "0").join((frame[:3], frame[4:]))
-        assert receiver.feed(broken) == []
+        assert receiver.feed(broken, range(len(broken))) == []
         assert receiver.data == b""
-        assert [a[0] for a in receiver.feed(frame)] == [0]
+        assert [a[0] for a in receiver.feed(frame, range(len(frame)))] == [0]
 
     def test_spurious_sync_with_garbage_dropped(self):
         rng = random.Random(9)
@@ -298,10 +299,10 @@ class TestArqStateMachines:
         except Exception:
             valid = False
         if not valid:
-            assert receiver.feed(noise) == []
+            assert receiver.feed(noise, range(len(noise))) == []
             assert receiver.data == b""
         # a real frame following the garbage still decodes
-        acks = receiver.feed(encode_frame(0, bytes(8)))
+        acks = receiver.feed(encode_frame(0, bytes(8)), range(FRAME_BITS))
         assert [a[0] for a in acks] == [0]
 
     def test_retry_budget_exhaustion(self):
@@ -405,6 +406,9 @@ class TestSimulatedTransfer:
 
 
 class TestListen:
+    NOISY = Scenario(name="noisy", policy=XEON, bit_times_us=(2_000,),
+                     preempt_rx_rate=40.0, preempt_max_us=6_000)
+
     def test_bits_closing_a_segment_are_left_out(self):
         # the listen stops 0.7 ms into the last mark; closing the segment
         # keeps that short run as a bit, which the next listen does not return
@@ -412,12 +416,12 @@ class TestListen:
         sim, _, cfg, _ = build_simulation(s, 2_000, 1, horizon_us=200_000)
         sim.transmit(sim.sender, modulate("1101", cfg, 2_000), 2_000)
         asm = StreamAssembler(cfg)
-        assert (listen(sim, sim.receiver, cfg, asm, (0, 8_700))
+        assert (listen(sim, sim.receiver, asm, (0, 8_700))
                 == ("0110", [1_063, 3_063, 5_063, 7_063]))
         asm.end_segment(8_700)
-        bits, times = listen(sim, sim.receiver, cfg, asm, (8_700, 20_000))
+        bits, times = listen(sim, sim.receiver, asm, (8_700, 20_000))
         assert (bits, times[0]) == ("100000", 9_813)
-        assert "".join(asm.bits) == "0110" + "1" + bits
+        assert asm.bits == "0110" + "1" + bits
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), bits=st.text("01", min_size=1, max_size=40),
@@ -426,13 +430,11 @@ class TestListen:
         """Listening up to a window boundary and on from it samples the same
         windows, with the same jitter, as one listen over the whole span:
         the two spans' bits and times make up the whole span's."""
-        s = Scenario(name="noisy", policy=XEON, bit_times_us=(2_000,),
-                     preempt_rx_rate=40.0, preempt_max_us=6_000)
         start, bit = 3_000, 2_000
         end = start + (len(bits) + 6) * bit
         runs = []
         for _ in range(2):
-            sim, _, cfg, _ = build_simulation(s, bit, seed, horizon_us=end + bit)
+            sim, _, cfg, _ = build_simulation(self.NOISY, bit, seed, horizon_us=end + bit)
             sim.transmit(sim.sender, modulate(bits, cfg, start), start)
             runs.append((sim, cfg, StreamAssembler(cfg)))
         (whole_sim, cfg, whole_asm), (split_sim, _, split_asm) = runs
@@ -440,7 +442,23 @@ class TestListen:
         phase = int(split_sim.receiver.grid_frac * window)
         cut = phase + window * data.draw(st.integers(1, (end - phase) // window - 1))
 
-        whole = listen(whole_sim, whole_sim.receiver, cfg, whole_asm, (0, end))
-        head = listen(split_sim, split_sim.receiver, cfg, split_asm, (0, cut))
-        tail = listen(split_sim, split_sim.receiver, cfg, split_asm, (cut, end))
+        whole = listen(whole_sim, whole_sim.receiver, whole_asm, (0, end))
+        head = listen(split_sim, split_sim.receiver, split_asm, (0, cut))
+        tail = listen(split_sim, split_sim.receiver, split_asm, (cut, end))
         assert whole == (head[0] + tail[0], head[1] + tail[1])
+
+    def test_split_off_the_grid_leaves_one_window_unsampled(self):
+        """Pins today's gap: a listen samples only the whole windows of its
+        span, so a cut between two grid boundaries leaves the window around
+        it to neither listen. run_transfer feeds two such listens to one
+        assembler, without closing the segment, when a frame gets no ack."""
+        sim, _, cfg, _ = build_simulation(self.NOISY, 2_000, 3, horizon_us=200_000)
+        assert (cfg.window_us, int(sim.receiver.grid_frac * cfg.window_us)) == (250, 231)
+        queries = []
+        sample = sim.sample_frequency
+        sim.sample_frequency = lambda *args: queries.append(sample(*args)) or queries[-1]
+        asm = StreamAssembler(cfg)
+        listen(sim, sim.receiver, asm, (0, 100_123))
+        listen(sim, sim.receiver, asm, (100_123, 200_000))
+        grids = [(q.start_us, q.start_us + q.window_us * len(q)) for q in queries]
+        assert grids == [(231, 99_981), (100_231, 199_981)]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (BinarySampleStream, classify, demodulate, modulate_entries,
-                     reject_glitches)
+from oracles import (BinarySampleStream, classify, demodulate, int8_codes,
+                     modulate_entries, reject_glitches)
 
 from turbochannel.modem import (HIGH, LOW, ModemConfig, StreamAssembler,
                                 classify_array, default_threshold, modulate)
@@ -17,12 +17,10 @@ XEON = builtin_policy("xeon-silver-4108")
 CFG8 = ModemConfig(bit_time_us=8_000, threshold=2_850_000.0, oversampling=8)
 
 
-def stream_of(text, times=False):
+def stream_of(text):
     """'h'/'l'/'.' shorthand."""
     mapping = {"h": HIGH, "l": LOW, ".": None}
-    values = [mapping[c] for c in text]
-    ts = list(range(1, len(values) + 1)) if times else []
-    return BinarySampleStream(values, ts)
+    return BinarySampleStream([mapping[c] for c in text])
 
 
 def render(stream):
@@ -247,7 +245,7 @@ class SampleAtATimeAssembler:
     def __init__(self, cfg):
         self._os = cfg.oversampling
         self._gmax = cfg.glitch_max
-        self.bits = []
+        self.bits = ""
         self.bit_times = []
         self._tail = None   # [value, length, emitted]
         self._raw = None
@@ -255,7 +253,7 @@ class SampleAtATimeAssembler:
         self._prev = None
 
     def _emit(self, v, count, t):
-        self.bits.extend(["0" if v else "1"] * count)
+        self.bits += ("0" if v else "1") * count
         self.bit_times.extend([t] * count)
 
     def _finalize(self, t):
@@ -331,13 +329,15 @@ class TestStreamAssembler:
     def test_matches_per_sample_oracle(self, values, oversampling, chunk):
         cfg = ModemConfig(bit_time_us=oversampling * 1_000, threshold=1.0,
                           oversampling=oversampling)
-        times = list(range(10, 10 * len(values) + 10, 10))
+        w = cfg.window_us
+        times = list(range(w, w * len(values) + w, w))
+        codes = int8_codes(values)
         ref = SampleAtATimeAssembler(cfg)
         fast = StreamAssembler(cfg)
         for i in range(0, len(values), chunk):
             ref.feed(values[i:i + chunk], times[i:i + chunk])
-            fast.feed(values[i:i + chunk], times[i:i + chunk])
-        end = times[-1] + 10
+            fast.feed(codes[i:i + chunk], w * i)
+        end = times[-1] + w
         ref.end_segment(end)
         fast.end_segment(end)
         assert fast.bits == ref.bits
@@ -353,51 +353,57 @@ class TestStreamAssembler:
         batch = demodulate(
             reject_glitches(BinarySampleStream(values), cfg.glitch_max), cfg)
         asm = StreamAssembler(cfg)
-        times = list(range(1, len(values) + 1))
+        codes = int8_codes(values)
         for i in range(0, len(values), chunk):
-            asm.feed(values[i:i + chunk], times[i:i + chunk])
-        asm.end_segment(len(values))
-        assert "".join(asm.bits) == batch
+            asm.feed(codes[i:i + chunk], cfg.window_us * i)
+        asm.end_segment(cfg.window_us * len(values))
+        assert asm.bits == batch
 
     def test_incremental_emission_of_trailing_zero_run(self):
         # a growing high run yields its 0-bits without waiting for an edge
         cfg = ModemConfig(bit_time_us=8_000, threshold=1.0, oversampling=8)
         asm = StreamAssembler(cfg)
-        asm.feed([LOW] * 8, range(1, 9))
-        asm.feed([HIGH] * 11, range(9, 20))
-        assert "".join(asm.bits) == "10"       # 11 samples round to one bit
-        asm.feed([HIGH], [20])
-        assert "".join(asm.bits) == "100"      # 12 samples round up to two
-        asm.feed([HIGH] * 8, range(21, 29))
-        assert "".join(asm.bits) == "1000"
+        asm.feed(int8_codes([LOW] * 8), 0)
+        asm.feed(int8_codes([HIGH] * 11), 8_000)
+        assert asm.bits == "10"       # 11 samples round to one bit
+        asm.feed(int8_codes([HIGH]), 19_000)
+        assert asm.bits == "100"      # 12 samples round up to two
+        asm.feed(int8_codes([HIGH] * 8), 20_000)
+        assert asm.bits == "1000"
 
     def test_bit_times_monotone(self):
         cfg = ModemConfig(bit_time_us=8_000, threshold=1.0, oversampling=8)
         asm = StreamAssembler(cfg)
         rng = random.Random(3)
         values = [rng.choice([HIGH, LOW]) for _ in range(200)]
-        asm.feed(values, range(1, 201))
-        asm.end_segment(201)
+        asm.feed(int8_codes(values), 0)
+        asm.end_segment(201_000)
         assert asm.bit_times == sorted(asm.bit_times)
 
 
-def _feed_in_chunks(cfg, values, times, sizes, breaks=()):
+def _feed_in_chunks(cfg, values, sizes, breaks=(), skips=(0,), start_us=0):
     """Feed int8 ``values`` (1 high, 0 low, -1 missing, as classify_array
     makes them) to StreamAssembler and to the per-sample oracle, in chunks
-    whose sizes cycle through ``sizes``; a segment ends after each chunk
+    whose sizes cycle through ``sizes``. Chunk k starts ``skips[k]`` windows
+    after the one before it ends (the first after ``start_us``), as listens
+    that leave the grid's windows unsampled; a segment ends after each chunk
     index in ``breaks`` and after the last chunk."""
     ref, fast = SampleAtATimeAssembler(cfg), StreamAssembler(cfg)
-    a, k = 0, 0
+    w = cfg.window_us
+    a, k, t = 0, 0, start_us
     while a < len(values):
         b = min(len(values), a + sizes[k % len(sizes)])
-        ref.feed([None if v < 0 else bool(v) for v in values[a:b].tolist()], times[a:b])
-        fast.feed(values[a:b], times[a:b])
+        t += w * int(skips[k % len(skips)])
+        ref.feed([None if v < 0 else bool(v) for v in values[a:b].tolist()],
+                 range(t + w, t + w * (b - a + 1), w))
+        fast.feed(values[a:b], t)
+        a, t = b, t + w * (b - a)
         if k in breaks:
-            ref.end_segment(int(times[b - 1]) + 1)
-            fast.end_segment(int(times[b - 1]) + 1)
-        a, k = b, k + 1
-    ref.end_segment(int(times[-1]) + 1)
-    fast.end_segment(int(times[-1]) + 1)
+            ref.end_segment(t + 1)
+            fast.end_segment(t + 1)
+        k += 1
+    ref.end_segment(t + 1)
+    fast.end_segment(t + 1)
     return ref, fast
 
 
@@ -416,12 +422,12 @@ def classified_streams(draw):
                          min_size=1, max_size=24))
     values = np.array([-1] * lead + [v for v, n in runs for _ in range(n)],
                       dtype=np.int8)
-    gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(1, 40, len(values))
-    times = 1_000 + np.cumsum(gaps)
     sizes = draw(st.lists(st.just(1) | st.integers(1, 3 * oversampling),
                           min_size=1, max_size=6))
     breaks = draw(st.sets(st.integers(0, 40), max_size=3))
-    return cfg, values, times, sizes, breaks
+    # windows skipped before each chunk: at most one chunk per sample
+    skips = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, len(values))
+    return cfg, values, sizes, breaks, skips, draw(st.integers(0, 5_000))
 
 
 class TestArrayFeeds:
@@ -434,28 +440,28 @@ class TestArrayFeeds:
         assert fast.bits == ref.bits
         assert fast.bit_times == ref.bit_times
 
-    # hand-checked cases, os 8 and glitch_max 2; sample i ends at 10*(i+1)
+    # hand-checked cases, os 8 and glitch_max 2; sample i ends at 1000*(i+1)
     @pytest.mark.parametrize("text, sizes, breaks, bits, times", [
         # a 3-sample high head rounds to nothing; the low sample ending the
         # first chunk is carried, promoted in the second, and the head's
         # one bit is stamped with that run's cross sample (5) there
-        ("hhhl" + "l" * 11, [4, 11], (), "011", [60, 70, 150]),
+        ("hhhl" + "l" * 11, [4, 11], (), "011", [6_000, 7_000, 15_000]),
         # the high group's second bit rounds in at the low glitch (sample
         # 11), which is absorbed only when the next run starts (12)
-        ("h" * 11 + "l" + "h" * 8, [20], (), "000", [40, 130, 200]),
+        ("h" * 11 + "l" + "h" * 8, [20], (), "000", [4_000, 13_000, 20_000]),
         # ten leading missings span four chunks; bits ready among them are
         # stamped with the first real sample (10)
-        ("." * 10 + "l" * 16 + "h" * 8, [3], (), "1110", [110, 120, 200, 300]),
+        ("." * 10 + "l" * 16 + "h" * 8, [3], (), "1110",
+         [11_000, 12_000, 20_000, 30_000]),
         # a segment ends with an undecided high pair, which is kept as a bit
-        # at the segment's end (101); the next feed starts a new stream
-        ("l" * 8 + "hh" + "h" * 8, [10, 8], {0}, "100", [40, 101, 140]),
+        # at the segment's end (10,001); the next feed starts a new stream
+        ("l" * 8 + "hh" + "h" * 8, [10, 8], {0}, "100", [4_000, 10_001, 14_000]),
     ])
     def test_hand_checked(self, text, sizes, breaks, bits, times):
         codes = {"h": 1, "l": 0, ".": -1}
         values = np.array([codes[c] for c in text], dtype=np.int8)
-        ref, fast = _feed_in_chunks(CFG8, values, 10 * np.arange(1, len(text) + 1),
-                                    sizes, breaks)
-        assert ("".join(fast.bits), fast.bit_times) == (bits, times)
+        ref, fast = _feed_in_chunks(CFG8, values, sizes, breaks)
+        assert (fast.bits, fast.bit_times) == (bits, times)
         assert (fast.bits, fast.bit_times) == (ref.bits, ref.bit_times)
 
     def test_classify_array_output_round_trips(self):
@@ -464,16 +470,6 @@ class TestArrayFeeds:
         missing[16:18] = True
         series = SampleSeries(0, 1_000, counts, missing)
         asm = StreamAssembler(CFG8)
-        asm.feed(classify_array(series, 2_850_000), series.end_times())
-        asm.end_segment()
-        assert "".join(asm.bits) == "011"
-
-    @pytest.mark.parametrize("values, times", [
-        ([HIGH] * 3, [1, 2]),
-        (np.ones(3, dtype=np.int8), np.arange(4)),
-        ([], [5]),
-    ])
-    def test_rejects_values_and_times_of_different_lengths(self, values, times):
-        asm = StreamAssembler(CFG8)
-        with pytest.raises(DomainError):
-            asm.feed(values, times)
+        asm.feed(classify_array(series, 2_850_000), series.start_us)
+        asm.end_segment(24_000)
+        assert asm.bits == "011"
